@@ -265,29 +265,31 @@ class RamanujanTauProvider(CoefficientProvider):
     mag_bound = (2.0, 0.5)  # |a_n| <= d(n) <= 2 sqrt(n)
 
     def __init__(self):
-        self._tau: List[int] = [0]
-        self._norm: Optional[np.ndarray] = None
+        # (exact tau(0..N), normalized a_1..a_N), replaced as one object so
+        # that a concurrent reader never pairs a new tau list with a stale
+        # normalized table
+        self._table: Tuple[List[int], np.ndarray] = ([0], np.empty(0))
 
-    def _ensure(self, N: int) -> None:
-        if len(self._tau) - 1 < N:
-            self._tau = tau_integers(N)
+    def _ensure(self, N: int) -> Tuple[List[int], np.ndarray]:
+        table = self._table
+        if len(table[0]) - 1 < N:
+            tau = tau_integers(N)
             n = np.arange(1, N + 1, dtype=float)
-            self._norm = np.asarray([float(t) for t in self._tau[1:]]) / n ** 5.5
+            table = (tau, np.asarray([float(t) for t in tau[1:]]) / n ** 5.5)
+            self._table = table
+        return table
 
     def tau_int(self, n: int) -> int:
-        self._ensure(n)
-        return self._tau[n]
+        return self._ensure(n)[0][n]
 
     def coefficient(self, n: int) -> complex:
         if n < 1:
             raise ValueError("n must be >= 1")
-        self._ensure(n)
-        return complex(self._norm[n - 1])
+        return complex(self._ensure(n)[1][n - 1])
 
     def bulk(self, N: int) -> CoefficientTable:
         N = _guard_bulk(N)
-        self._ensure(N)
-        return CoefficientTable(self._norm[:N].astype(complex))
+        return CoefficientTable(self._ensure(N)[1][:N].astype(complex))
 
 
 def ramanujan_tau_table(N: int) -> CoefficientTable:

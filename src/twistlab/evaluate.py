@@ -1,30 +1,31 @@
-"""Smoothed critical-line evaluation of F(s), an independent zeta oracle,
-and the functional-equation cross-check.
+"""Smoothed evaluation of F(s), an independent zeta oracle, and the
+functional-equation cross-check.
 
 The smoothed series sum_{n<=N*} a_n e^{-(n/X)^p} n^{-s} converges everywhere;
 what it computes differs from F(s) by (i) one term per declared pole of F and
 (ii) a rapidly decreasing series of contour residues carrying powers X^{-kp}.
-Both are corrected for explicitly here (the pole terms from the declared
-Laurent data, the k = 1, 2 residues through the functional equation), which
-is what pushes standalone evaluation to ~1e-10 absolute accuracy at desk
-scale.  Callers that only need the raw smoothed object (the transform
-pipeline budgets those remainders into its route deviations) pass
-corrections=False.
+SmoothedLineEvaluator is the one implementation of the series and of both
+corrections, for any abscissa sigma and many t at once: it removes the pole
+terms (from the declared Laurent data) and the k = 1, 2 residues (through the
+functional equation), which is what pushes standalone evaluation to ~1e-10
+absolute accuracy at desk scale.  smoothed_value is its one-point case.
+Callers that only need the raw smoothed object (the transform pipeline
+budgets those remainders into its route deviations) pass corrections=False.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import BudgetError, PoleError
-from .gammafn import (digamma, gamma_ratio_exact_grid, log_gamma,
-                      _log_gamma_vec)
+from .gammafn import (_check_poles, _log_gamma_vec, _ratio_args, digamma,
+                      gamma_ratio_exact_grid)
+from .gammafn import log_gamma  # unused here; the benchmark tracer wraps it
 from .model import LSeriesInstance, SmoothingParams
-from .summation import compensated_sum
+from .summation import compensated_sum  # unused here; the benchmark tracer wraps it
 
 _POLE_RADIUS = 1e-6
 _FE_SAFE_RADIUS = 0.25
@@ -88,83 +89,6 @@ def _truncation_count(K: float, c: float, x: float, X: float, p: float,
     return max(8, lo), bound(max(8, lo))
 
 
-def _series_value(L: LSeriesInstance, s: complex, X: float, p: float,
-                  eps: float, conjugate: bool) -> Tuple[complex, int, float]:
-    """Compensated smoothed Dirichlet sum at s (conjugated coefficients when
-    requested), ascending n."""
-    K, c = L.coefficients.mag_bound
-    N, tail = _truncation_count(K, c, s.real, X, p, eps)
-    table = L.coefficients.bulk(N).values
-    if conjugate:
-        table = np.conj(table)
-    n = np.arange(1, N + 1, dtype=np.float64)
-    terms = table * np.exp(-((n / X) ** p)) * np.exp(-s * np.log(n))
-    return compensated_sum(terms), N, tail
-
-
-def _pole_correction(L: LSeriesInstance, s: complex, X: float, p: float) -> complex:
-    """Residues of F(s+w) Gamma(w/p) X^w / p crossed between Re w = c > 0 and
-    the shifted contour: one term per declared pole with Laurent data."""
-    corr = 0.0 + 0.0j
-    lnX = math.log(X)
-    for pole in L.fe.poles:
-        if not pole.leading:
-            continue
-        w0 = pole.location - s
-        g = cmath.exp(log_gamma(w0 / p) + w0 * lnX) / p
-        if pole.order == 1:
-            corr += pole.leading[0] * g
-        elif pole.order == 2:
-            gp = g * (digamma(w0 / p) / p + lnX)
-            corr += pole.leading[0] * gp + pole.leading[1] * g
-        else:
-            raise NotImplementedError("pole corrections cover orders 1 and 2")
-    return corr
-
-
-def _f_via_fe(L: LSeriesInstance, s: complex, X: float, p: float,
-              eps: float) -> Optional[complex]:
-    """F(s) left of the convergence region, through the functional equation:
-    F(s) = omega Q^{1-2s} Gt(1-s)/G(s) Ft(1-s).  Returns None when the
-    reflected point is too close to a pole of Ft."""
-    w = 1.0 - s
-    for pole in L.fe.poles:
-        if abs(w - pole.location.conjugate()) < _FE_SAFE_RADIUS:
-            return None
-    spec = L.fe.gamma
-    log_ratio = 0.0 + 0.0j
-    for lam, mu in spec.numerator:
-        log_ratio += log_gamma(lam * w + mu.conjugate()) - log_gamma(lam * s + mu)
-    for lam, mu in spec.denominator:
-        log_ratio -= log_gamma(lam * w + mu.conjugate()) - log_gamma(lam * s + mu)
-    ft, _, _ = _series_value(L, w, X, p, eps, conjugate=True)
-    Q = L.fe.Q
-    return L.fe.omega * Q ** (1.0 - 2.0 * s) * cmath.exp(log_ratio) * ft
-
-
-def _contour_residue_correction(L: LSeriesInstance, s: complex, X: float,
-                                p: float, eps: float) -> Tuple[complex, float]:
-    """Sum over k >= 1 of (-1)^k/k! F(s-kp) X^{-kp}: the residues of
-    Gamma(w/p) crossed when the remainder contour is pushed left.  Two terms
-    suffice at double precision for the X ranges used here."""
-    corr = 0.0 + 0.0j
-    extra_tail = 0.0
-    if abs(s.imag) < _MIN_T_FOR_FE_CORRECTION:
-        return corr, extra_tail
-    for k in range(1, _K_TERMS + 1):
-        weight = X ** (-k * p) / math.factorial(k)
-        if weight < 1e-300:
-            break
-        # the term only needs enough relative accuracy to matter at `weight`
-        eps_k = min(1e-4, max(eps, eps / (10.0 * weight)))
-        fk = _f_via_fe(L, s - k * p, X, p, eps_k)
-        if fk is None:
-            continue
-        corr += (-1) ** k * weight * fk
-        extra_tail += eps_k * weight
-    return corr, extra_tail
-
-
 def _check_pole_proximity(L: LSeriesInstance, s: complex) -> None:
     for pole in L.fe.poles:
         if abs(s - pole.location) < _POLE_RADIUS:
@@ -172,32 +96,24 @@ def _check_pole_proximity(L: LSeriesInstance, s: complex) -> None:
                             f"at {pole.location}")
 
 
-def _resolve_X(L: LSeriesInstance, t: float, sp: SmoothingParams) -> float:
-    if sp.X is not None:
-        return sp.X
-    return default_cutoff(t, L.invariants().d)
-
-
 def smoothed_value(L: LSeriesInstance, z: complex, t: float, sp: SmoothingParams,
                    corrections: bool = True) -> SmoothedEvaluation:
-    """Smoothed evaluation of F(z + it).
+    """Smoothed evaluation of F(z + it): the one-point case of
+    SmoothedLineEvaluator at sigma = Re(z + it), with X = sp.X or, when that
+    is unset, default_cutoff(t, d).
 
-    The weighted series is truncated at the smallest N whose certified tail
-    bound drops below sp.epsilon and accumulated in ascending n with
-    compensated summation.  With corrections enabled (default), declared
-    pole terms and the leading contour residues are removed, so the value
-    approximates F itself rather than the bare smoothed object.
+    With corrections enabled (default), declared pole terms and the leading
+    contour residues are removed, so the value approximates F itself rather
+    than the bare smoothed object.
     """
     s = complex(z) + 1j * t
     _check_pole_proximity(L, s)
-    X = _resolve_X(L, t, sp)
-    value, terms, tail = _series_value(L, s, X, sp.p, sp.epsilon, conjugate=False)
-    if corrections:
-        value -= _pole_correction(L, s, X, sp.p)
-        resid, extra = _contour_residue_correction(L, s, X, sp.p, sp.epsilon)
-        value -= resid
-        tail += extra
-    return SmoothedEvaluation(value=value, terms_used=terms, tail_bound=tail)
+    if sp.X is None:
+        sp = sp.with_X(default_cutoff(t, L.invariants().d))
+    line = SmoothedLineEvaluator(L, sp, corrections, sigma=s.real)
+    value = complex(line.values(np.array([s.imag]))[0])
+    return SmoothedEvaluation(value=value, terms_used=line.terms,
+                              tail_bound=line.tail)
 
 
 def smoothed_value_conjugate(L: LSeriesInstance, z: complex, t: float,
@@ -283,94 +199,107 @@ def reference_zeta(s: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized critical-line evaluator for the transform quadrature
+# The smoothed evaluator
 # ---------------------------------------------------------------------------
 
 class SmoothedLineEvaluator:
-    """F(1/2 + it) on many t at once, sharing precomputed tables.
+    """F(sigma + it) on many t at once with a fixed cutoff X, sharing
+    precomputed tables.
 
-    Used by the resonance-transform quadrature, where the integrand is
-    evaluated on tens of thousands of nodes with a fixed cutoff X.
-    Corrections follow smoothed_value; pole terms are skipped when their
-    magnitude is negligible on the requested t range (they decay like
-    e^{-pi lambda t / (2p)}).
+    The weighted series is truncated at the smallest N (`terms`) whose
+    certified tail bound drops below sp.epsilon.  With corrections enabled
+    (default), every declared pole term is removed, and so are the contour
+    residues (-1)^k/k! F(s - kp) X^{-kp}, k = 1, 2, each computed through the
+    functional equation from the conjugated series at 1 - s + kp.  A residue
+    is applied at those t with |t| >= 2 whose reflected point 1 - s + kp
+    keeps 0.25 away from every conjugated pole.  `tail` bounds the
+    truncation error of the series plus that of every residue series.
     """
 
     def __init__(self, L: LSeriesInstance, sp: SmoothingParams,
-                 corrections: bool = True):
+                 corrections: bool = True, sigma: float = 0.5):
         if sp.X is None:
             raise ValueError("line evaluator needs an explicit X")
         self.L = L
         self.sp = sp
         self.corrections = corrections
-        self.X = sp.X
+        self.sigma = sigma
+        self.X = X = sp.X
         K, c = L.coefficients.mag_bound
-        N, self.tail = _truncation_count(K, c, 0.5, self.X, sp.p, sp.epsilon)
-        self.terms = N
-        table = L.coefficients.bulk(N).values
-        n = np.arange(1, N + 1, dtype=np.float64)
-        self._lnn = np.log(n)
-        self._main = table * np.exp(-((n / self.X) ** sp.p)) * n ** -0.5
+        self.terms, self.tail = _truncation_count(K, c, sigma, X, sp.p, sp.epsilon)
+        # (abscissa, length) of the main series, then of each residue series
+        series = [(sigma, self.terms)]
+        x_k, const_k = [], []
+        self._poles = []
         if corrections:
-            self._prep_corrections()
-
-    def _prep_corrections(self) -> None:
-        sp, L, X = self.sp, self.L, self.X
-        self._kdata = []
-        K, c = L.coefficients.mag_bound
-        for k in range(1, _K_TERMS + 1):
-            weight = X ** (-k * sp.p) / math.factorial(k)
-            x_k = 0.5 - k * sp.p
-            skip = False
-            for pole in L.fe.poles:
-                if abs((1.0 - x_k) - pole.location.conjugate().real) < _FE_SAFE_RADIUS \
-                        and abs(pole.location.imag) < 1.0:
-                    skip = True
-            if skip or weight < 1e-300:
-                continue
-            eps_k = min(1e-4, max(sp.epsilon, sp.epsilon / (10.0 * weight)))
-            Nk, _ = _truncation_count(K, c, 1.0 - x_k, X, sp.p, eps_k)
-            table = np.conj(L.coefficients.bulk(Nk).values)
-            nk = np.arange(1, Nk + 1, dtype=np.float64)
-            coef = table * np.exp(-((nk / X) ** sp.p)) * nk ** (-(1.0 - x_k))
-            self._kdata.append((k, x_k, weight, np.log(nk), coef))
-
-    def _pole_terms(self, t: np.ndarray) -> np.ndarray:
-        out = np.zeros(t.shape, dtype=complex)
-        sp, X = self.sp, self.X
-        lnX = math.log(X)
-        s = 0.5 + 1j * t
-        for pole in self.L.fe.poles:
-            if not pole.leading:
-                continue
-            w0 = pole.location - s
-            g = np.exp(_log_gamma_vec(w0 / sp.p) + w0 * lnX) / sp.p
-            if pole.order == 1:
-                out += pole.leading[0] * g
-            else:
-                psi = np.array([digamma(v / sp.p) for v in w0])
-                out += pole.leading[0] * g * (psi / sp.p + lnX) + pole.leading[1] * g
-        return out
+            self._poles = [pole for pole in L.fe.poles if pole.leading]
+            if any(pole.order > 2 for pole in self._poles):
+                raise NotImplementedError("pole corrections cover orders 1 and 2")
+            for k in range(1, _K_TERMS + 1):
+                weight = X ** (-k * sp.p) / math.factorial(k)
+                if weight < 1e-300:
+                    break
+                # the term only needs enough relative accuracy to matter at `weight`
+                eps_k = min(1e-4, max(sp.epsilon, sp.epsilon / (10.0 * weight)))
+                x = sigma - k * sp.p
+                N_k, _ = _truncation_count(K, c, 1.0 - x, X, sp.p, eps_k)
+                self.tail += eps_k * weight
+                series.append((1.0 - x, N_k))
+                x_k.append(x)
+                const_k.append((-1) ** k * weight * L.fe.omega
+                               * L.fe.Q ** (1.0 - 2.0 * x))
+        self._x_k = np.array(x_k)[:, None]
+        self._const_k = np.array(const_k, dtype=complex)[:, None]
+        width = max(N for _, N in series)
+        table = L.coefficients.bulk(width).values
+        n = np.arange(1, width + 1, dtype=np.float64)
+        self._lnn = np.log(n)
+        damp = (n / X) ** sp.p
+        # Residue series are kept with unconjugated coefficients: the series
+        # sum conj(a_n) w_n n^{-(1-x)+it} is the conjugate of
+        # sum a_n w_n n^{-(1-x)-it}, so every series takes a prefix of one
+        # phase block e^{-it ln n}.
+        self._coefs = [table[:N] * np.exp(-damp[:N] - x * self._lnn[:N])
+                       for x, N in series]
 
     def values(self, t: np.ndarray, block: int = 448) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
-        out = np.empty(t.shape, dtype=complex)
+        sums = np.empty((len(self._coefs), t.size), dtype=complex)
         for lo in range(0, t.size, block):
-            tb = t[lo:lo + block]
-            phases = np.exp(-1j * np.outer(tb, self._lnn))
-            out[lo:lo + block] = phases @ self._main
+            phases = np.exp(-1j * np.outer(t[lo:lo + block], self._lnn))
+            for row, coef in zip(sums, self._coefs):
+                row[lo:lo + block] = phases[:, :coef.size] @ coef
         if not self.corrections:
-            return out
-        out -= self._pole_terms(t)
-        Q = self.L.fe.Q
-        spec = self.L.fe.gamma
-        omega = self.L.fe.omega
-        for k, x_k, weight, lnk, coef in self._kdata:
-            ratio = gamma_ratio_exact_grid(spec, x_k, t)
-            qfac = Q ** (1.0 - 2.0 * x_k) * np.exp(-2j * t * math.log(Q))
-            ft = np.empty(t.shape, dtype=complex)
-            for lo in range(0, t.size, block):
-                tb = t[lo:lo + block]
-                ft[lo:lo + block] = np.exp(1j * np.outer(tb, lnk)) @ coef
-            out -= (-1) ** k * weight * omega * qfac * ratio * ft
-        return out
+            return sums[0]
+        return sums[0] - self._corrections(t, np.conj(sums[1:]))
+
+    def _corrections(self, t: np.ndarray, ft: np.ndarray) -> np.ndarray:
+        """Pole terms plus contour residues at each t; ft holds the
+        conjugated residue series.  All their Gamma values come from one
+        log Gamma call."""
+        p, lnX, fe = self.sp.p, math.log(self.X), self.L.fe
+        s = self.sigma + 1j * t
+        w0 = np.array([pole.location for pole in self._poles])[:, None] - s
+        reflected = 1.0 - self._x_k - 1j * t
+        applied = np.abs(t) >= _MIN_T_FOR_FE_CORRECTION
+        for pole in fe.poles:
+            applied = applied & (np.abs(reflected - np.conj(pole.location))
+                                 >= _FE_SAFE_RADIUS)
+        ratio_args, signs = _ratio_args(fe.gamma, self._x_k, t)
+        args = np.concatenate([(w0 / p).ravel(),
+                               np.where(applied, ratio_args, 1.0).ravel()])
+        _check_poles(args)
+        lg = _log_gamma_vec(args)
+
+        g = np.exp(lg[:w0.size].reshape(w0.shape) + w0 * lnX) / p
+        corr = np.zeros(t.shape, dtype=complex)
+        for pole, w, gj in zip(self._poles, w0, g):
+            if pole.order == 1:
+                corr += pole.leading[0] * gj
+            else:
+                psi = np.array([digamma(v / p) for v in w])
+                corr += pole.leading[0] * gj * (psi / p + lnX) + pole.leading[1] * gj
+
+        log_ratio = np.sum(signs * lg[w0.size:].reshape(ratio_args.shape), axis=0)
+        resid = self._const_k * np.exp(log_ratio - 2j * t * math.log(fe.Q)) * ft
+        return corr + np.sum(np.where(applied, resid, 0.0), axis=0)

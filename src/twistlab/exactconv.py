@@ -84,14 +84,6 @@ def _conv_mod(a: np.ndarray, b: np.ndarray, size: int, p: int, g: int) -> np.nda
     return _ntt((Fa * Fb) % pu, p, g, True)
 
 
-def _reduce_signed(values: Sequence[int], p: int) -> np.ndarray:
-    arr = np.asarray([int(v) % p for v in values], dtype=np.uint64) \
-        if not isinstance(values, np.ndarray) else (values.astype(object) % p)
-    if isinstance(arr, np.ndarray) and arr.dtype == object:
-        arr = arr.astype(np.uint64)
-    return arr
-
-
 def conv_exact(a: Sequence[int], b: Sequence[int], out_len: int) -> List[int]:
     """Exact (signed) integer convolution of a and b, first out_len coeffs."""
     a = list(map(int, a[:out_len]))

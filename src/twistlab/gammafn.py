@@ -2,7 +2,8 @@
 
 Self-contained: log Gamma is computed from the de Moivre series with a
 fixed table of Bernoulli coefficients, an argument shift into |z| >= 16,
-and the reflection formula for Re z < 1/2.  No external special-function
+and the reflection formula for Re z < 1/2, in one vectorized kernel that
+the scalar log_gamma also calls.  No external special-function
 dependency; relative accuracy is ~1e-14 on the right half-plane.
 
 All gamma-factor products are assembled in log space and exponentiated
@@ -52,28 +53,55 @@ _DIGAMMA = (
 _SHIFT_RADIUS = 16.0
 
 
-def _stirling_series(w):
-    """log Gamma on |w| >= _SHIFT_RADIUS, Re w > 0 (works on arrays)."""
-    res = (w - 0.5) * np.log(w) - w + 0.5 * LOG_2PI
-    w2 = w * w
-    inv = 1.0 / w
-    for c in _STIRLING:
-        res = res + c * inv
-        inv = inv / w2
-    return res
+def _check_poles(z: np.ndarray) -> None:
+    """Raise PoleError if any entry of z is a pole of Gamma (a non-positive
+    integer)."""
+    z = np.asarray(z, dtype=complex)
+    hit = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
+    if hit.any():
+        raise PoleError(f"log Gamma pole at z = {complex(z[hit][0])}")
 
 
-def _log_sin_pi(z: complex) -> complex:
+def _log_sin_pi_vec(z: np.ndarray) -> np.ndarray:
     """Analytic continuation of log sin(pi z), stable for large |Im z|.
 
     For Im z >= 0: log(i/2) - i pi z + log(1 - e^{2 pi i z}); the last log
     stays principal because |e^{2 pi i z}| <= 1.  Lower half plane by
     conjugation symmetry.
     """
-    if z.imag < 0.0:
-        return _log_sin_pi(z.conjugate()).conjugate()
-    w = cmath.exp(2j * math.pi * z)
-    return 1j * math.pi / 2 - math.log(2.0) - 1j * math.pi * z + cmath.log(1.0 - w)
+    lower = z.imag < 0.0
+    zz = np.where(lower, np.conj(z), z)
+    w = np.exp(2j * math.pi * zz)
+    val = 1j * math.pi / 2 - math.log(2.0) - 1j * math.pi * zz + np.log(1.0 - w)
+    return np.where(lower, np.conj(val), val)
+
+
+def _log_gamma_vec(z) -> np.ndarray:
+    """log Gamma on an array of any shape (no pole checking: callers keep
+    away from the poles or run _check_poles first).
+
+    Entries with Re z < 1/2 are reflected to 1 - z; then every entry is
+    shifted by one common integer m so that |z + m| >= _SHIFT_RADIUS, and
+    log Gamma(z) = series(z + m) - sum_{j<m} log(z + j).
+    """
+    z = np.asarray(z, dtype=complex)
+    shape = z.shape
+    z = z.ravel()
+    left = z.real < 0.5
+    w = np.where(left, 1.0 - z, z)
+    gap = np.sqrt(np.maximum(_SHIFT_RADIUS ** 2 - w.imag ** 2, 0.0)) - w.real
+    m = int(math.ceil(gap.max(initial=0.0)))
+    res = -np.log(w[:, None] + np.arange(m)).sum(axis=1)
+    w = w + m
+    inv = 1.0 / w
+    inv2 = inv * inv
+    series = _STIRLING[-1]
+    for c in _STIRLING[-2::-1]:
+        series = series * inv2 + c
+    res += (w - 0.5) * np.log(w) - w + 0.5 * LOG_2PI + series * inv
+    if left.any():
+        res[left] = LOG_PI - _log_sin_pi_vec(z[left]) - res[left]
+    return res.reshape(shape)
 
 
 def log_gamma(z) -> complex:
@@ -82,20 +110,9 @@ def log_gamma(z) -> complex:
     Raises PoleError at the non-positive integers.  Reflection is used for
     Re z < 1/2, argument shifting plus the Bernoulli series elsewhere.
     """
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
-        raise PoleError(f"log_gamma pole at z = {z}")
-    if z.real < 0.5:
-        return LOG_PI - _log_sin_pi(z) - log_gamma(1.0 - z)
-    shift = 0
-    w = z
-    while abs(w) < _SHIFT_RADIUS:
-        w += 1.0
-        shift += 1
-    res = complex(_stirling_series(w))
-    for j in range(shift):
-        res -= cmath.log(z + j)
-    return res
+    z = np.asarray(z, dtype=complex)
+    _check_poles(z)
+    return complex(_log_gamma_vec(z))
 
 
 def digamma(z) -> complex:
@@ -120,42 +137,6 @@ def digamma(z) -> complex:
     return res
 
 
-def _log_sin_pi_vec(z: np.ndarray) -> np.ndarray:
-    lower = z.imag < 0.0
-    zz = np.where(lower, np.conj(z), z)
-    w = np.exp(2j * math.pi * zz)
-    val = 1j * math.pi / 2 - math.log(2.0) - 1j * math.pi * zz + np.log(1.0 - w)
-    return np.where(lower, np.conj(val), val)
-
-
-def _log_gamma_right_vec(z: np.ndarray) -> np.ndarray:
-    """Vectorized shift-and-series path, Re z >= 1/2."""
-    w = z.copy()
-    acc = np.zeros(z.shape, dtype=complex)
-    while True:
-        mask = np.abs(w) < _SHIFT_RADIUS
-        if not mask.any():
-            break
-        acc[mask] += np.log(w[mask])
-        w[mask] += 1.0
-    return _stirling_series(w) - acc
-
-
-def _log_gamma_vec(z: np.ndarray) -> np.ndarray:
-    """Vectorized log_gamma (no pole checking; callers keep away from poles)."""
-    z = np.asarray(z, dtype=complex)
-    scalar_shape = z.shape
-    flat = z.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    left = flat.real < 0.5
-    if left.any():
-        zl = flat[left]
-        out[left] = LOG_PI - _log_sin_pi_vec(zl) - _log_gamma_right_vec(1.0 - zl)
-    if (~left).any():
-        out[~left] = _log_gamma_right_vec(flat[~left])
-    return out.reshape(scalar_shape)
-
-
 @dataclass(frozen=True)
 class GammaRatioResult:
     """Exact and asymptotic values of the ratio Gt(1-x-it)/G(x+it)."""
@@ -165,34 +146,36 @@ class GammaRatioResult:
     relative_error: float
 
 
-def _ratio_log_exact(spec: GammaFactorSpec, x: float, t) -> np.ndarray:
-    """log of Gt(1-x-it)/G(x+it), vectorized over t.
+def _ratio_args(spec: GammaFactorSpec, x, t):
+    """Every Gamma argument of Gt(1-x-it)/G(x+it), stacked on a new first
+    axis over the broadcast shape of x and t, with the sign its log Gamma
+    enters the log ratio with (shaped to broadcast against the stack).
 
     Gt(s) = conj(G(conj(s))) replaces every mu by conj(mu).
     """
-    t = np.asarray(t, dtype=float)
-    s_ref = (1.0 - x) - 1j * t
-    s = x + 1j * t
-    acc = np.zeros(t.shape, dtype=complex)
-    for lam, mu in spec.numerator:
-        acc += _log_gamma_vec(lam * s_ref + np.conj(mu))
-        acc -= _log_gamma_vec(lam * s + mu)
-    for lam, mu in spec.denominator:
-        acc -= _log_gamma_vec(lam * s_ref + np.conj(mu))
-        acc += _log_gamma_vec(lam * s + mu)
-    return acc
+    s = x + 1j * np.asarray(t, dtype=float)
+    args, signs = [], []
+    for factors, sign in ((spec.numerator, 1.0), (spec.denominator, -1.0)):
+        for lam, mu in factors:
+            args += [lam * (1.0 - s) + mu.conjugate(), lam * s + mu]
+            signs += [sign, -sign]
+    return (np.array(args, dtype=complex).reshape((len(args),) + s.shape),
+            np.array(signs).reshape((-1,) + (1,) * s.ndim))
+
+
+def _ratio_log_exact(spec: GammaFactorSpec, x, t) -> np.ndarray:
+    """log of Gt(1-x-it)/G(x+it), broadcast over x and t, from one log Gamma
+    call."""
+    args, signs = _ratio_args(spec, x, t)
+    return np.sum(signs * _log_gamma_vec(args), axis=0)
 
 
 def gamma_ratio_exact(spec: GammaFactorSpec, x: float, t: float) -> complex:
     """Exact ratio Gt(1-x-it)/G(x+it) via log-gamma sums, one exponentiation."""
     if not t > 0.0:
         raise ValueError("t must be positive")
-    for lam, mu in spec.numerator + spec.denominator:
-        for arg in (lam * ((1.0 - x) - 1j * t) + mu.conjugate(),
-                    lam * (x + 1j * t) + mu):
-            if arg.imag == 0.0 and arg.real <= 0.0 and arg.real == math.floor(arg.real):
-                raise PoleError(f"gamma argument {arg} hits a pole")
-    return complex(np.exp(_ratio_log_exact(spec, x, np.array(t))))
+    _check_poles(_ratio_args(spec, x, t)[0])
+    return complex(np.exp(_ratio_log_exact(spec, x, t)))
 
 
 def gamma_ratio_exact_grid(spec: GammaFactorSpec, x: float, t) -> np.ndarray:

@@ -118,8 +118,9 @@ class DerivedInvariants:
 class SmoothingParams:
     """Parameters of the smoothing weight exp(-(n/X)^p) and its truncation.
 
-    X is optional; operations that know their scale (the transforms use
-    X = T^{d+rho}) fill it in, standalone evaluation picks a default.
+    X is optional; operations that know their scale (the transforms and the
+    additive twist) fill it in through cutoff(T, d) = T^{d+rho}, standalone
+    evaluation picks a default.
     """
 
     p: float = 2.0
@@ -138,6 +139,12 @@ class SmoothingParams:
 
     def with_X(self, X: float) -> "SmoothingParams":
         return SmoothingParams(self.p, self.rho, self.eta, self.epsilon, float(X))
+
+    def cutoff(self, T: float, d: float) -> float:
+        """X if set, else the scale-aware default T^{d + rho}."""
+        if self.X is not None:
+            return self.X
+        return float(T) ** (d + self.rho)
 
 
 @dataclass(frozen=True)

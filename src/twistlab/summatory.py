@@ -96,7 +96,7 @@ def additive_twist(L: LSeriesInstance, alpha: float, T: float,
         raise ValueError("additive twist needs degree >= 1")
     if T < 1.0:
         return 0.0 + 0.0j
-    X = sp.X if sp.X is not None else float(T) ** (d + sp.rho)
+    X = sp.cutoff(T, d)
     lo, hi = _twist_window(T)
     if hi < lo:
         return 0.0 + 0.0j

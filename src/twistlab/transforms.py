@@ -87,12 +87,6 @@ def _require_transform_degree(L: LSeriesInstance) -> float:
     return d
 
 
-def _resolve_X(L: LSeriesInstance, T: float, sp: SmoothingParams) -> float:
-    if sp.X is not None:
-        return sp.X
-    return float(T) ** (L.invariants().d + sp.rho)
-
-
 def H_direct(L: LSeriesInstance, alpha: float, T: float, sp: SmoothingParams,
              corrections: bool = True, force: bool = False,
              tol: Optional[float] = None) -> complex:
@@ -104,7 +98,7 @@ def H_direct(L: LSeriesInstance, alpha: float, T: float, sp: SmoothingParams,
     for pole in L.fe.poles:
         if abs(pole.location.real - 0.5) < 1e-6 and a - 1e-6 <= pole.location.imag <= b + 1e-6:
             raise PoleError(f"pole of {L.name!r} on the integration segment")
-    X = _resolve_X(L, T, sp)
+    X = sp.cutoff(T, d)
     line = SmoothedLineEvaluator(L, sp.with_X(X), corrections=corrections)
 
     rate = d * max(abs(math.log(a / alpha)), abs(math.log(b / alpha))) + 1.0
@@ -136,7 +130,7 @@ def H_sum_side(L: LSeriesInstance, alpha: float, T: float,
         sqrt(2 pi / d) sum (a_n / sqrt(n)) n^{1/(2d)}
                          e^{-(n/X)^p} e^{-i d alpha n^{1/d}}."""
     d = _require_transform_degree(L)
-    X = _resolve_X(L, T, sp)
+    X = sp.cutoff(T, d)
     lo = (2.0 * T) ** d
     hi = (3.0 * T) ** d
     n_lo = int(math.floor(lo)) + 1

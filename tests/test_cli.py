@@ -78,6 +78,12 @@ class TestExitCodes:
         assert code == 2
         assert "computation error" in err
 
+    def test_computation_error_gamma_pole(self, capsys):
+        code, _, err = run(capsys, "eval", "--preset", "zeta", "--sigma", "3",
+                           "--t", "0", "--X", "1000")
+        assert code == 2
+        assert "computation error" in err
+
     def test_budget_exit(self, capsys, monkeypatch):
         monkeypatch.setenv("TWISTLAB_BUDGET", "10")
         code, _, err = run(capsys, "transform", "--preset", "zeta",

@@ -1,5 +1,8 @@
 """Coefficient-provider tests: presets, combinators, the exact tau table."""
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -142,8 +145,7 @@ class TestTau:
     def test_deligne_tripwire(self):
         N = 10 ** 5
         prov = RamanujanTauProvider()
-        prov._ensure(N)
-        tau = prov._tau
+        tau, _ = prov._ensure(N)
         d = np.zeros(N + 1, dtype=np.int64)
         for k in range(1, N + 1):
             d[k::k] += 1
@@ -153,6 +155,53 @@ class TestTau:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             tau_integers(2 * 10 ** 7)
+
+    def test_concurrent_readers_see_consistent_prefixes(self):
+        # one thread grows the shared provider while seven read the prefix
+        # being published; a reader that pairs the new tau list with the
+        # old normalized table gets a short or missing prefix
+        sizes = list(range(10, 201, 10))
+        want = RamanujanTauProvider().bulk(sizes[-1]).values
+        shared = RamanujanTauProvider()
+        target, done, failures = [0], threading.Event(), []
+
+        def check(N):
+            try:
+                got = shared.bulk(N).values
+            except Exception as exc:  # a torn table can fail anywhere
+                failures.append(repr(exc))
+                return
+            if len(got) != N or not np.array_equal(got, want[:N]):
+                failures.append(f"bulk({N}) returned {len(got)} wrong values")
+
+        def writer():
+            try:
+                for N in sizes:
+                    target[0] = N
+                    check(N)
+            finally:
+                done.set()
+
+        def reader():
+            deadline = time.monotonic() + 30.0
+            while not done.is_set() and time.monotonic() < deadline:
+                if target[0]:
+                    check(target[0])
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer)]
+            threads += [threading.Thread(target=reader) for _ in range(7)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(th.is_alive() for th in threads)
+        assert done.is_set()
+        assert failures == []
 
 
 class TestScaledSeriesIdentity:

@@ -28,6 +28,18 @@ BETA_CRITICAL = {
 }
 FIRST_ZETA_ZERO_T = 14.134725
 
+#: independent oracles built from reference_zeta
+ORACLES = {
+    "zeta": reference_zeta,
+    "zeta-sq": lambda s: reference_zeta(s) ** 2,
+    "zeta-shift-pair": lambda s: reference_zeta(s + 0.5) * reference_zeta(s - 0.5),
+}
+ORACLE_ROWS = (
+    [pytest.param("zeta", 0.5, t, id=repr(t)) for t in sorted(ZETA_CRITICAL)]
+    + [pytest.param(name, sigma, t, id=f"{name}-{sigma}-{t}")
+       for name in ORACLES for sigma in (0.5, 0.6) for t in (20.0, 40.0)
+       if (name, sigma) != ("zeta", 0.5)])
+
 
 @pytest.fixture
 def sp4():
@@ -67,11 +79,10 @@ class TestSmoothedValue:
         ev = smoothed_value(L, 2.0, 0.0, SmoothingParams(X=1e3))
         assert abs(ev.value - math.pi ** 2 / 6) < 1e-6
 
-    @pytest.mark.parametrize("t", sorted(ZETA_CRITICAL))
-    def test_matches_oracle_on_critical_line(self, t, sp4):
-        L = get_preset("zeta")
-        ev = smoothed_value(L, 0.5, t, sp4)
-        assert abs(ev.value - reference_zeta(0.5 + 1j * t)) < 1e-8
+    @pytest.mark.parametrize("name, sigma, t", ORACLE_ROWS)
+    def test_matches_oracle_on_critical_line(self, name, sigma, t, sp4):
+        ev = smoothed_value(get_preset(name), sigma, t, sp4)
+        assert abs(ev.value - ORACLES[name](sigma + 1j * t)) < 1e-8
 
     def test_first_zero(self, sp4):
         L = get_preset("zeta")
@@ -88,6 +99,11 @@ class TestSmoothedValue:
         L = get_preset("zeta")
         with pytest.raises(PoleError):
             smoothed_value(L, 1.0, 1e-8, sp4)
+
+    def test_gamma_pole_error(self):
+        # the zeta pole term at s = 3 needs Gamma(-1)
+        with pytest.raises(PoleError):
+            smoothed_value(get_preset("zeta"), 3.0, 0.0, SmoothingParams(X=1e3))
 
     def test_truncation_soundness(self, sp4):
         L = get_preset("zeta")
