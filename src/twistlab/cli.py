@@ -454,7 +454,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:  # ValueError: argument out of range
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
     except TwistlabError as exc:

@@ -220,8 +220,7 @@ class DirichletConvolutionProvider(CoefficientProvider):
         for d in range(1, N + 1):
             v = t1[d - 1]
             if v != 0.0:
-                e_max = N // d
-                out[d * np.arange(1, e_max + 1) - 1] += v * t2[:e_max]
+                out[d - 1 :: d] += v * t2[: N // d]
         return CoefficientTable(out)
 
 
@@ -244,7 +243,9 @@ def tau_integers(N: int) -> List[int]:
     """Exact tau(1..N), index n at position n (position 0 unused).
 
     Pipeline: cube-power sparse series, one sparse-sparse convolution to the
-    sixth power, then two exact squarings (NTT + CRT), then the q-shift.
+    sixth power, then two exact squarings (conv_exact, by Kronecker
+    substitution), then the q-shift.  The sparse step stays: at N = 65535 a
+    dense exact square of eta^3 takes about 35 times as long.
     """
     N = _guard_bulk(N)
     idx, val = _eta3_sparse(N)

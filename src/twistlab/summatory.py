@@ -88,24 +88,40 @@ def _twist_window(T: float) -> Tuple[int, int]:
     return lo, hi
 
 
-def additive_twist(L: LSeriesInstance, alpha: float, T: float,
-                   sp: SmoothingParams) -> complex:
-    """The smoothed twisted sum over T < n < 4T (see module notes)."""
+def _twist_degree(L: LSeriesInstance) -> float:
     d = L.invariants().d
     if d < 1.0:
         raise ValueError("additive twist needs degree >= 1")
+    return d
+
+
+def _grid_table(L: LSeriesInstance, T_grid: Sequence[float]) -> np.ndarray:
+    """a_1..a_M with M large enough for the twist window of every T."""
+    hi = max((_twist_window(T)[1] for T in T_grid), default=1)
+    return L.coefficients.bulk(max(hi, 1)).values
+
+
+def _twist(table: np.ndarray, alpha: float, T: float, d: float,
+           sp: SmoothingParams) -> complex:
+    """The twisted sum over T < n < 4T; table[k] is a_{k+1} and reaches
+    past the window."""
     if T < 1.0:
         return 0.0 + 0.0j
     X = sp.cutoff(T, d)
     lo, hi = _twist_window(T)
     if hi < lo:
         return 0.0 + 0.0j
-    table = L.coefficients.bulk(hi).values
     n = np.arange(lo, hi + 1, dtype=np.float64)
     a_n = table[lo - 1 : hi]
     terms = (a_n * np.exp(-((n / X) ** sp.p))
              * np.exp(-1j * d * alpha * n ** (1.0 / d)))
     return compensated_sum(terms)
+
+
+def additive_twist(L: LSeriesInstance, alpha: float, T: float,
+                   sp: SmoothingParams) -> complex:
+    """The smoothed twisted sum over T < n < 4T (see module notes)."""
+    return _twist(_grid_table(L, [T]), alpha, T, _twist_degree(L), sp)
 
 
 def growth_exponent(grid: Sequence[float], values: Sequence[float]) -> Tuple[float, float]:
@@ -148,9 +164,10 @@ def run_growth_scan(L: LSeriesInstance, X_grid: Sequence[float]) -> GrowthReport
 
 def run_twist_scan(L: LSeriesInstance, alpha: float, T_grid: Sequence[float],
                    sp: SmoothingParams) -> TwistReport:
-    d = L.invariants().d
+    d = _twist_degree(L)
     expo = 0.5 + 1.0 / (2.0 * d)
-    tws = [additive_twist(L, alpha, T, sp) for T in T_grid]
+    table = _grid_table(L, T_grid)
+    tws = [_twist(table, alpha, T, d, sp) for T in T_grid]
     normalized = [abs(tw) / T ** expo for tw, T in zip(tws, T_grid)]
     slope, stderr = growth_exponent(T_grid, [abs(tw) for tw in tws])
     return TwistReport(grid=tuple(float(T) for T in T_grid),
@@ -164,17 +181,16 @@ def omega_certificate(L: LSeriesInstance, alpha: float, m: int,
                       sp: SmoothingParams) -> CertificateReport:
     """Per-T check of the certificate chain.  A failing row is a recorded
     result, not an error."""
-    inv = L.invariants()
-    d = inv.d
+    d = _twist_degree(L)
     a_m = L.coefficients.coefficient(m)
     constant = 0.5 * abs(kap.value) * math.sqrt(d) * abs(a_m)
     expo = 0.5 + 1.0 / (2.0 * d)
+    table = _grid_table(L, T_grid)
     rows: List[CertificateRow] = []
     for T in T_grid:
         lo, hi = _twist_window(T)
-        table = L.coefficients.bulk(max(hi, 1)).values
         abs_sum = compensated_real_sum(np.abs(table[lo - 1 : hi])) if hi >= lo else 0.0
-        tw = abs(additive_twist(L, alpha, T, sp))
+        tw = abs(_twist(table, alpha, T, d, sp))
         bound = constant * T ** expo
         rows.append(CertificateRow(
             T=float(T), abs_sum=abs_sum, twist_abs=tw, bound=bound,

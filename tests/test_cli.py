@@ -72,6 +72,19 @@ class TestExitCodes:
         assert code == 1
         assert "preset" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--preset", "zeta", "--bulk", "0"],
+        ["coeffs", "--preset", "zeta", "--n", "0"],
+        ["eval", "--preset", "zeta", "--sigma", "0.5", "--t", "30", "--X", "-1"],
+        ["eval", "--preset", "zeta", "--sigma", "0.5", "--t", "30",
+         "--epsilon", "1"],
+        ["summatory", "--preset", "zeta", "--X-grid", "2^3:2^4"],
+    ], ids=["bulk-0", "n-0", "X-negative", "epsilon-1", "short-grid"])
+    def test_usage_out_of_range(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("usage error: ")
+
     def test_computation_error_pole(self, capsys):
         code, _, err = run(capsys, "eval", "--preset", "zeta",
                            "--sigma", "1.0", "--t", "1e-9")

@@ -1,5 +1,6 @@
 """Coefficient-provider tests: presets, combinators, the exact tau table."""
 import math
+import random
 import sys
 import threading
 import time
@@ -15,10 +16,22 @@ from twistlab.coefficients import (ArgumentScaleProvider,
                                    dirichlet_convolution, ramanujan_tau_table,
                                    tau_integers)
 from twistlab.errors import BudgetError
-from twistlab.exactconv import _conv_direct, conv_exact
-from twistlab.presets import get_preset
+from twistlab.exactconv import conv_exact
+from twistlab.presets import PRESET_NAMES, get_preset
 
 ZETA_3_5 = 1.12673386731705665  # frozen high-precision value
+
+
+def schoolbook(a, b, out_len):
+    """Exact convolution by the definition: the oracle for conv_exact."""
+    out = [0] * out_len
+    for i, ai in enumerate(a):
+        if ai:
+            top = min(len(b), out_len - i)
+            for j in range(top):
+                if b[j]:
+                    out[i + j] += ai * b[j]
+    return out
 
 
 def divisor_count(n: int) -> int:
@@ -117,6 +130,21 @@ class TestBulkPointwiseAgreement:
         assert np.array_equal(tsq.values.real, np.array([1.0, 2.0, 2.0, 3.0]))
 
 
+class TestBulkPrefix:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_bulk_prefix_is_bit_identical(self, name):
+        # grid scans build one table and slice it per T, so a fresh
+        # provider's bulk(M) must equal a larger table's first M values
+        def fresh():
+            if name == "delta":  # the preset shares one growing tau table
+                return RamanujanTauProvider()
+            return get_preset(name).coefficients
+        N = 20000
+        table = fresh().bulk(N).values
+        for M in (1, 127, 2049, 16383, N - 1):
+            assert fresh().bulk(M).values.tobytes() == table[:M].tobytes(), M
+
+
 class TestTau:
     def test_first_values(self):
         tau = tau_integers(12)
@@ -134,13 +162,33 @@ class TestTau:
         assert tau[10] == tau[2] * tau[5]
         assert tau[35] == tau[5] * tau[7]
 
-    def test_ntt_matches_direct_convolution(self):
-        # the direct-schoolbook path is exact; the NTT path must agree
+    def test_conv_exact_matches_schoolbook(self):
+        rng = random.Random(20261018)
+
+        def signed(n, size):
+            return [rng.randint(-size, size) for _ in range(n)]
+
         a = list(range(1, 400))
-        b = [(-1) ** k * k * k for k in range(400)]
-        direct = _conv_direct(a, b, 399)
-        via_crt = conv_exact(a + [0] * 2000, b + [0] * 2000, 399)
-        assert direct == via_crt
+        b = [(-1) ** k * k * k for k in range(700)]
+        big = signed(300, 10 ** 40)
+        wide = signed(1100, 10 ** 6)
+        cases = [
+            (a, b), (b, a), (a, a), (big, big), (big, signed(57, 10 ** 40)),
+            ([0] * 10, signed(20, 99)), ([7], [-3]), ([-5], signed(30, 10 ** 40)),
+            (wide, signed(1100, 10 ** 6)), (wide, wide),
+            (np.arange(-50, 50, dtype=np.int64), np.arange(80, dtype=np.int64)),
+        ]
+        for x, y in cases:
+            full = len(x) + len(y) - 1
+            # out_len below, at and above len(x) + len(y) - 1; the 2048/2049
+            # pair straddles the size where a second algorithm once took over
+            for out_len in (1, full // 2, full, full + 5, 2048, 2049):
+                got = conv_exact(x, y, out_len)
+                want = schoolbook([int(v) for v in x[:out_len]],
+                                  [int(v) for v in y[:out_len]], out_len)
+                assert got == want, (len(x), len(y), out_len)
+        assert conv_exact([], [1, 2], 3) == [0, 0, 0]
+        assert conv_exact([1, 2], [3], 0) == []
 
     def test_deligne_tripwire(self):
         N = 10 ** 5

@@ -4,13 +4,14 @@ The shift-pair leading constant (2/3) zeta(2), the resonant chi4 band 1.5,
 and the weight-12 band 1.72 were measured with direct-summation oracles and
 frozen; see also the acceptance module.
 """
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from twistlab.coefficients import PeriodicProvider
-from twistlab.model import LSeriesInstance, SmoothingParams
+from twistlab.model import GammaFactorSpec, LSeriesInstance, SmoothingParams
 from twistlab.presets import get_preset
 from twistlab.summatory import (TWIST_RHO, abs_partial_sum, additive_twist,
                                 growth_exponent, omega_certificate,
@@ -129,6 +130,30 @@ class TestTwistScan:
         assert rep.slope == pytest.approx(0.75, abs=0.05)
         for T, tw, nm in zip(rep.grid, rep.twist_values, rep.normalized):
             assert nm == abs(tw) / T ** 0.75
+
+
+    def test_scan_matches_pointwise_twists(self):
+        # the scan slices one table built for the largest T; each value
+        # must equal the twist computed from its own table
+        L = get_preset("zeta-shift-pair")
+        grid = [10.0 * 1.7 ** j for j in range(9)]
+        rep = run_twist_scan(L, TWO_PI, grid, twist_sp())
+        assert rep.twist_values == tuple(additive_twist(L, TWO_PI, T, twist_sp())
+                                         for T in grid)
+
+    def test_degree_below_one_rejected_on_every_path(self):
+        base = get_preset("zeta")
+        fe = dataclasses.replace(base.fe, gamma=GammaFactorSpec(((0.25, 0.0),)))
+        L = dataclasses.replace(base, fe=fe)
+        assert L.invariants().d < 1.0
+        kap = kappa(base, TWO_PI, 1, "oracle-calibrated")
+        grid = [float(2 ** j) for j in range(5, 9)]
+        with pytest.raises(ValueError):
+            additive_twist(L, TWO_PI, 100.0, twist_sp())
+        with pytest.raises(ValueError):
+            run_twist_scan(L, TWO_PI, grid, twist_sp())
+        with pytest.raises(ValueError):
+            omega_certificate(L, TWO_PI, 1, kap, grid, twist_sp())
 
 
 class TestCertificate:
