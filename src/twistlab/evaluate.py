@@ -11,9 +11,18 @@ functional equation), which is what pushes standalone evaluation to ~1e-10
 absolute accuracy at desk scale.  smoothed_value is its one-point case.
 Callers that only need the raw smoothed object (the transform pipeline
 budgets those remainders into its route deviations) pass corrections=False.
+
+The series are summed by Taylor blocks (Odlyzko-Schoenhage, Trans. AMS 309,
+1988; Hiary, Ann. of Math. 174, 2011): each t is snapped to a centre m on a
+grid anchored at the first t, one complex exponential e^{-im ln n} is formed
+per (centre, term), and the remaining factor e^{-i(t-m) ln n} is a short
+Taylor series in t - m whose coefficients are BLAS products of that phase
+block with moment tables c_n (ln n - lambda)^k.  A single t is its own
+centre and costs one phase row and one dot product per series.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -21,7 +30,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import BudgetError, PoleError
-from .gammafn import (_check_poles, _log_gamma_vec, _ratio_args, digamma,
+from .gammafn import (_check_poles, _digamma_vec, _log_gamma_vec, _ratio_args,
                       gamma_ratio_exact_grid)
 from .gammafn import log_gamma  # unused here; the benchmark tracer wraps it
 from .model import LSeriesInstance, SmoothingParams
@@ -31,6 +40,12 @@ _POLE_RADIUS = 1e-6
 _FE_SAFE_RADIUS = 0.25
 _K_TERMS = 2
 _MIN_T_FOR_FE_CORRECTION = 2.0
+# Taylor-block kernel: a node t sits within |u| <= spacing/2 of its centre,
+# and r = max|u| * max|ln n - lambda| <= _TAYLOR_RADIUS, so rounding grows by
+# at most e^r over the dense sum.
+_TAYLOR_RADIUS = 2.0
+# rows of the phase block (one per centre) formed at a time
+_BLOCK = 448
 
 
 @dataclass(frozen=True)
@@ -45,6 +60,7 @@ def default_cutoff(t: float, d: float) -> float:
     return max(1e3, 10.0 * (abs(t) / (2.0 * math.pi)) ** d)
 
 
+@functools.lru_cache(maxsize=1024)
 def _truncation_count(K: float, c: float, x: float, X: float, p: float,
                       eps: float) -> Tuple[int, float]:
     """Minimal N with a certified tail bound below eps for the series
@@ -87,6 +103,16 @@ def _truncation_count(K: float, c: float, x: float, X: float, p: float,
         else:
             lo = mid + 1
     return max(8, lo), bound(max(8, lo))
+
+
+def _taylor_order(r: float) -> int:
+    """Smallest K >= 1 whose certified Taylor remainder r^K/K! e^r, relative
+    to sum |c_n|, falls below 2^-53."""
+    K, term, growth = 1, r, math.exp(r)
+    while term * growth >= 2.0 ** -53:
+        K += 1
+        term *= r / K
+    return K
 
 
 def _check_pole_proximity(L: LSeriesInstance, s: complex) -> None:
@@ -214,6 +240,12 @@ class SmoothedLineEvaluator:
     is applied at those t with |t| >= 2 whose reflected point 1 - s + kp
     keeps 0.25 away from every conjugated pole.  `tail` bounds the
     truncation error of the series plus that of every residue series.
+
+    `values` sums every series by Taylor blocks: centres `spacing` apart,
+    so that |t - m| |ln n - lambda| <= 2 with lambda = ln(width)/2, and the
+    smallest order K whose certified remainder is below 2^-53.  `width` is
+    the longest series, and `phase_evals` counts the phase exponentials
+    computed so far, `width` per centre.
     """
 
     def __init__(self, L: LSeriesInstance, sp: SmoothingParams,
@@ -250,28 +282,76 @@ class SmoothedLineEvaluator:
                                * L.fe.Q ** (1.0 - 2.0 * x))
         self._x_k = np.array(x_k)[:, None]
         self._const_k = np.array(const_k, dtype=complex)[:, None]
-        width = max(N for _, N in series)
+        self.width = width = max(N for _, N in series)
         table = L.coefficients.bulk(width).values
         n = np.arange(1, width + 1, dtype=np.float64)
         self._lnn = np.log(n)
+        # Taylor variable ln n - lambda: lambda centres it on [0, ln width],
+        # so |ln n - lambda| <= lambda
+        self._lam = 0.5 * math.log(width)
+        self.spacing = 2.0 * _TAYLOR_RADIUS / self._lam
+        self.phase_evals = 0
         damp = (n / X) ** sp.p
         # Residue series are kept with unconjugated coefficients: the series
         # sum conj(a_n) w_n n^{-(1-x)+it} is the conjugate of
         # sum a_n w_n n^{-(1-x)-it}, so every series takes a prefix of one
-        # phase block e^{-it ln n}.
+        # phase block e^{-im ln n}.
         self._coefs = [table[:N] * np.exp(-damp[:N] - x * self._lnn[:N])
                        for x, N in series]
 
-    def values(self, t: np.ndarray, block: int = 448) -> np.ndarray:
+    def values(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
-        sums = np.empty((len(self._coefs), t.size), dtype=complex)
-        for lo in range(0, t.size, block):
-            phases = np.exp(-1j * np.outer(t[lo:lo + block], self._lnn))
-            for row, coef in zip(sums, self._coefs):
-                row[lo:lo + block] = phases[:, :coef.size] @ coef
+        sums = self._series_sums(t)
         if not self.corrections:
             return sums[0]
         return sums[0] - self._corrections(t, np.conj(sums[1:]))
+
+    def _series_sums(self, t: np.ndarray) -> np.ndarray:
+        """Every series sum_n c_n e^{-it ln n} at every t, one row per
+        series, by Taylor blocks: with m the centre of t and u = t - m,
+
+            sum_n c_n e^{-it ln n} = e^{-iu lambda} sum_{k<K} (-iu)^k/k! S_k(m),
+            S_k(m) = sum_n c_n (ln n - lambda)^k e^{-im ln n}.
+
+        The phase block e^{-im ln n} has one row per centre; the S_k are its
+        products with each series' moment table."""
+        sums = np.empty((len(self._coefs), t.size), dtype=complex)
+        if t.size == 0:
+            return sums
+        # nodes sorted by centre index on the grid anchored at t[0]
+        index = np.rint((t - t[0]) / self.spacing)
+        order = np.argsort(index, kind="stable")
+        index = index[order]
+        u = t[order] - (t[0] + index * self.spacing)
+        K = _taylor_order(float(np.abs(u).max()) * self._lam)
+        if K == 1:
+            # every t is its own centre: the moment tables are the coefficients
+            moments = [coef[:, None] for coef in self._coefs]
+        else:
+            powers = np.vander(self._lnn - self._lam, K, increasing=True)
+            moments = [coef[:, None] * powers[:coef.size] for coef in self._coefs]
+        new_centre = np.empty(t.size, dtype=bool)
+        new_centre[0] = True
+        np.not_equal(index[1:], index[:-1], out=new_centre[1:])
+        starts = np.flatnonzero(new_centre)
+        rank = np.cumsum(new_centre) - 1
+        for lo in range(0, starts.size, _BLOCK):
+            first = starts[lo]
+            last = starts[lo + _BLOCK] if lo + _BLOCK < starts.size else t.size
+            centres = t[0] + index[starts[lo:lo + _BLOCK]] * self.spacing
+            phases = np.exp(-1j * np.outer(centres, self._lnn))
+            self.phase_evals += phases.size
+            local = rank[first:last] - lo
+            x = -1j * u[first:last]
+            # (K, series, centres): each Horner step gathers from one slab
+            S = np.stack([phases[:, :moment.shape[0]] @ moment
+                          for moment in moments]).transpose(2, 0, 1).copy()
+            acc = S[K - 1][:, local]
+            for k in range(K - 2, -1, -1):
+                acc *= x / (k + 1)
+                acc += S[k][:, local]
+            sums[:, order[first:last]] = np.exp(self._lam * x) * acc
+        return sums
 
     def _corrections(self, t: np.ndarray, ft: np.ndarray) -> np.ndarray:
         """Pole terms plus contour residues at each t; ft holds the
@@ -297,7 +377,7 @@ class SmoothedLineEvaluator:
             if pole.order == 1:
                 corr += pole.leading[0] * gj
             else:
-                psi = np.array([digamma(v / p) for v in w])
+                psi = _digamma_vec(w / p)
                 corr += pole.leading[0] * gj * (psi / p + lnX) + pole.leading[1] * gj
 
         log_ratio = np.sum(signs * lg[w0.size:].reshape(ratio_args.shape), axis=0)

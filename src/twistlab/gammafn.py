@@ -76,6 +76,18 @@ def _log_sin_pi_vec(z: np.ndarray) -> np.ndarray:
     return np.where(lower, np.conj(val), val)
 
 
+def _reflect_and_shift(z):
+    """The argument reduction shared by _log_gamma_vec and _digamma_vec:
+    z flattened, the mask of entries with Re z < 1/2, those entries
+    reflected to 1 - z, and the offsets 0..m-1 of the one common integer
+    shift m that puts every reduced entry at |w + m| >= _SHIFT_RADIUS."""
+    z = np.asarray(z, dtype=complex).ravel()
+    left = z.real < 0.5
+    w = np.where(left, 1.0 - z, z)
+    gap = np.sqrt(np.maximum(_SHIFT_RADIUS ** 2 - w.imag ** 2, 0.0)) - w.real
+    return z, left, w, np.arange(int(math.ceil(gap.max(initial=0.0))))
+
+
 def _log_gamma_vec(z) -> np.ndarray:
     """log Gamma on an array of any shape (no pole checking: callers keep
     away from the poles or run _check_poles first).
@@ -84,15 +96,10 @@ def _log_gamma_vec(z) -> np.ndarray:
     shifted by one common integer m so that |z + m| >= _SHIFT_RADIUS, and
     log Gamma(z) = series(z + m) - sum_{j<m} log(z + j).
     """
-    z = np.asarray(z, dtype=complex)
-    shape = z.shape
-    z = z.ravel()
-    left = z.real < 0.5
-    w = np.where(left, 1.0 - z, z)
-    gap = np.sqrt(np.maximum(_SHIFT_RADIUS ** 2 - w.imag ** 2, 0.0)) - w.real
-    m = int(math.ceil(gap.max(initial=0.0)))
-    res = -np.log(w[:, None] + np.arange(m)).sum(axis=1)
-    w = w + m
+    shape = np.shape(z)
+    z, left, w, shift = _reflect_and_shift(z)
+    res = -np.log(w[:, None] + shift).sum(axis=1)
+    w = w + shift.size
     inv = 1.0 / w
     inv2 = inv * inv
     series = _STIRLING[-1]
@@ -101,6 +108,26 @@ def _log_gamma_vec(z) -> np.ndarray:
     res += (w - 0.5) * np.log(w) - w + 0.5 * LOG_2PI + series * inv
     if left.any():
         res[left] = LOG_PI - _log_sin_pi_vec(z[left]) - res[left]
+    return res.reshape(shape)
+
+
+def _digamma_vec(z) -> np.ndarray:
+    """psi(z) = Gamma'(z)/Gamma(z) on an array of any shape (no pole
+    checking), with the reduction of _log_gamma_vec:
+    psi(z) = psi(1 - z) - pi cot(pi z) for Re z < 1/2, and
+    psi(z) = psi(z + m) - sum_{j<m} 1/(z + j) before the asymptotic series.
+    """
+    shape = np.shape(z)
+    z, left, w, shift = _reflect_and_shift(z)
+    res = -(1.0 / (w[:, None] + shift)).sum(axis=1)
+    w = w + shift.size
+    inv2 = 1.0 / (w * w)
+    series = _DIGAMMA[-1]
+    for c in _DIGAMMA[-2::-1]:
+        series = series * inv2 + c
+    res += np.log(w) - 0.5 / w - series * inv2
+    if left.any():
+        res[left] -= math.pi / np.tan(math.pi * z[left])
     return res.reshape(shape)
 
 
@@ -116,25 +143,12 @@ def log_gamma(z) -> complex:
 
 
 def digamma(z) -> complex:
-    """psi(z) = Gamma'(z)/Gamma(z), same branch/shift strategy as log_gamma."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
-        raise PoleError(f"digamma pole at z = {z}")
-    if z.real < 0.5:
-        # psi(z) = psi(1-z) - pi cot(pi z)
-        return digamma(1.0 - z) - math.pi / cmath.tan(math.pi * z)
-    res = 0.0 + 0.0j
-    w = z
-    while abs(w) < _SHIFT_RADIUS:
-        res -= 1.0 / w
-        w += 1.0
-    res += cmath.log(w) - 0.5 / w
-    w2inv = 1.0 / (w * w)
-    term = w2inv
-    for c in _DIGAMMA:
-        res -= c * term
-        term *= w2inv
-    return res
+    """psi(z) = Gamma'(z)/Gamma(z), same branch/shift strategy as log_gamma.
+
+    Raises PoleError at the non-positive integers."""
+    z = np.asarray(z, dtype=complex)
+    _check_poles(z)
+    return complex(_digamma_vec(z))
 
 
 @dataclass(frozen=True)

@@ -52,6 +52,9 @@ from .oscillatory import integrate_oscillatory
 from .summation import compensated_sum
 
 KAPPA_CONVENTIONS = ("paper-printed", "oracle-calibrated")
+# integrate_oscillatory starts at half the quarter-period panel count and
+# doubles; at H_direct's tolerance it stops after that second level
+_EXPECTED_LEVELS = 2
 
 
 @dataclass(frozen=True)
@@ -87,12 +90,20 @@ def _require_transform_degree(L: LSeriesInstance) -> float:
     return d
 
 
+def _phase_estimate(line: SmoothedLineEvaluator, a: float, b: float) -> float:
+    """Phase exponentials H_direct expects `line` to compute on [a, b]: one
+    per term and centre, with the centres `line.spacing` apart, on each of
+    _EXPECTED_LEVELS quadrature levels."""
+    return line.width * ((b - a) / line.spacing + 1.0) * _EXPECTED_LEVELS
+
+
 def H_direct(L: LSeriesInstance, alpha: float, T: float, sp: SmoothingParams,
              corrections: bool = True, force: bool = False,
              tol: Optional[float] = None) -> complex:
-    """Direct quadrature route.  Cost is O(X * panels); configurations whose
-    estimate exceeds the operation budget (TWISTLAB_BUDGET, default 1e9) are
-    refused unless force=True."""
+    """Direct quadrature route.  Cost is the line evaluator's phase
+    exponentials (see _phase_estimate); configurations whose estimate
+    exceeds the operation budget (TWISTLAB_BUDGET, default 1e9) are refused
+    unless force=True."""
     d = _require_transform_degree(L)
     a, b = 2.0 * alpha * T, 3.0 * alpha * T
     for pole in L.fe.poles:
@@ -101,9 +112,7 @@ def H_direct(L: LSeriesInstance, alpha: float, T: float, sp: SmoothingParams,
     X = sp.cutoff(T, d)
     line = SmoothedLineEvaluator(L, sp.with_X(X), corrections=corrections)
 
-    rate = d * max(abs(math.log(a / alpha)), abs(math.log(b / alpha))) + 1.0
-    est_panels = (b - a) * rate / (0.25 * 2.0 * math.pi)
-    cost = X * est_panels
+    cost = _phase_estimate(line, a, b)
     if cost > _budget() and not force:
         raise BudgetError(
             f"H_direct estimated cost {cost:.2e} exceeds budget "

@@ -13,6 +13,7 @@ from twistlab.evaluate import (SmoothedLineEvaluator, fe_cross_check,
                                reference_zeta, smoothed_value,
                                smoothed_value_conjugate)
 from twistlab.model import SmoothingParams
+from twistlab.oscillatory import _panel_nodes
 from twistlab.presets import get_preset
 
 ZETA_CRITICAL = {
@@ -39,6 +40,37 @@ ORACLE_ROWS = (
     + [pytest.param(name, sigma, t, id=f"{name}-{sigma}-{t}")
        for name in ORACLES for sigma in (0.5, 0.6) for t in (20.0, 40.0)
        if (name, sigma) != ("zeta", 0.5)])
+
+
+def dense_line_values(ev, t):
+    """SmoothedLineEvaluator.values by the dense formula: one exponential
+    per (t, n), then the same corrections."""
+    t = np.asarray(t, dtype=np.float64)
+    phases = np.exp(-1j * np.outer(t, ev._lnn))
+    sums = np.array([phases[:, :coef.size] @ coef for coef in ev._coefs])
+    sums = sums.reshape(len(ev._coefs), t.size)
+    if not ev.corrections:
+        return sums[0]
+    return sums[0] - ev._corrections(t, np.conj(sums[1:]))
+
+
+def panel_nodes_of_K_T(name, T):
+    """Gauss-Legendre nodes on K_T = [2 alpha T, 3 alpha T], 128 panels:
+    several nodes per Taylor centre, as in H_direct."""
+    alpha = get_preset(name).resonance_alpha(1)
+    return _panel_nodes(2.0 * alpha * T, 3.0 * alpha * T, 128)[0]
+
+
+KERNEL_T_SETS = {
+    "one-point": lambda name: np.array([31.5]),
+    "empty": lambda name: np.array([]),
+    "unsorted-duplicates": lambda name: np.array([40.0, 12.5, 40.0, 33.3, 12.5, 55.0]),
+    "negative": lambda name: np.array([-30.0, -12.5, -3.0, 4.0]),
+    "panel-nodes-T60": lambda name: panel_nodes_of_K_T(name, 60.0),
+    # more centres than one phase block holds
+    "shuffled-wide": lambda name: np.random.default_rng(7).permutation(
+        np.linspace(-500.0, 500.0, 1001)),
+}
 
 
 @pytest.fixture
@@ -208,3 +240,23 @@ class TestLineEvaluator:
     def test_needs_explicit_cutoff(self):
         with pytest.raises(ValueError):
             SmoothedLineEvaluator(get_preset("zeta"), SmoothingParams())
+
+    @pytest.mark.parametrize("t_set", sorted(KERNEL_T_SETS))
+    @pytest.mark.parametrize("sigma", [0.5, 0.6])
+    @pytest.mark.parametrize("name", ["zeta", "zeta-sq", "dirichlet-chi4", "delta"])
+    def test_kernel_matches_dense_oracle(self, name, sigma, t_set):
+        # 1e-11 absolute, relative once |F| > 1: at t ~ 1000 the degree-2
+        # corrections scale the residue series' rounding, which the dense
+        # formula shares, up with |F| (~1e5 at this X)
+        ev = SmoothedLineEvaluator(get_preset(name), SmoothingParams(X=1000.0),
+                                   sigma=sigma)
+        t = KERNEL_T_SETS[t_set](name)
+        got = ev.values(t)
+        want = dense_line_values(ev, t)
+        assert got.shape == t.shape
+        assert np.all(np.abs(got - want) <= 1e-11 * max(1.0, np.abs(want).max(initial=0.0)))
+
+    def test_single_point_is_one_phase_row(self):
+        ev = SmoothedLineEvaluator(get_preset("zeta-sq"), SmoothingParams(X=2000.0))
+        ev.values(np.array([30.0]))
+        assert ev.phase_evals == max(coef.size for coef in ev._coefs)

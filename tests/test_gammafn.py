@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from twistlab.errors import PoleError, SectorError
-from twistlab.gammafn import (gamma_ratio_asymptotic, gamma_ratio_compare,
-                              gamma_ratio_exact, digamma, log_gamma,
-                              sector_threshold)
+from twistlab.gammafn import (_digamma_vec, gamma_ratio_asymptotic,
+                              gamma_ratio_compare, gamma_ratio_exact, digamma,
+                              log_gamma, sector_threshold)
 from twistlab.model import GammaFactorSpec
 from twistlab.presets import get_preset
 
@@ -74,6 +74,14 @@ class TestLogGamma:
             h = 1e-6
             approx = (log_gamma(z + h) - log_gamma(z - h)) / (2 * h)
             assert abs(digamma(z) - approx) < 1e-7
+
+    def test_digamma_vector_matches_scalar(self):
+        # one array shares a common shift; each scalar call picks its own
+        z = np.array([3.5 + 2j, 0.25 + 10j, -1.2 + 0.7j, 0.1 - 30j,
+                      -5.5 + 0.01j, 0.4, -0.3 - 200j, 100 + 1000j, 7.0])
+        for zi, v in zip(z, _digamma_vec(z)):
+            want = digamma(zi)
+            assert abs(v - want) <= 1e-14 * abs(want), zi
 
 
 class TestGammaRatio:

@@ -9,6 +9,7 @@ from twistlab.errors import BudgetError, ResonanceError
 from twistlab.model import (FunctionalEquationData, LSeriesInstance,
                             SmoothingParams)
 from twistlab.coefficients import PeriodicProvider
+from twistlab import transforms
 from twistlab.presets import get_preset, instance_from_config
 from twistlab.transforms import (KappaValue, H_direct, H_fe_side, H_sum_side,
                                  J_m_closed_form, J_n_quadrature, kappa,
@@ -158,6 +159,23 @@ class TestRoutes:
             H_direct(L, TWO_PI, 5.0, SmoothingParams())
         v = H_direct(L, TWO_PI, 5.0, SmoothingParams(), force=True)
         assert np.isfinite(abs(v))
+
+    @pytest.mark.parametrize("name, T", [("zeta", 50.0), ("delta", 10.0)])
+    def test_budget_estimate_counts_phase_exponentials(self, name, T, monkeypatch):
+        lines = []
+
+        class Recording(transforms.SmoothedLineEvaluator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                lines.append(self)
+
+        monkeypatch.setattr(transforms, "SmoothedLineEvaluator", Recording)
+        L = get_preset(name)
+        alpha = L.resonance_alpha(1)
+        H_direct(L, alpha, T, SmoothingParams())
+        (line,) = lines
+        estimate = transforms._phase_estimate(line, 2 * alpha * T, 3 * alpha * T)
+        assert 0.5 <= estimate / line.phase_evals <= 2.0
 
     def test_degree_below_one_rejected(self):
         cfg = {
