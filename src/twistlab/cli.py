@@ -14,11 +14,12 @@ overrides the default 1e9 operation budget.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,9 +30,9 @@ from .model import LSeriesInstance, SmoothingParams
 from .oscillatory import (PhaseFamily, I_n_quadrature, I_n_stationary_phase,
                           in_stationary_range)
 from .presets import PRESET_NAMES, get_preset, load_instance
-from .summatory import (TWIST_RHO, abs_partial_sum, growth_exponent,
-                        omega_certificate, run_twist_scan)
-from .transforms import constant_conventions, kappa, run_transform
+from .summatory import (TWIST_RHO, omega_certificate, run_growth_scan,
+                        run_twist_scan)
+from .transforms import ROUTES, constant_conventions, kappa, run_transform
 
 
 class UsageError(Exception):
@@ -96,27 +97,31 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _emit(path: Optional[str], fmt: str, params: Dict[str, object],
-          columns: Sequence[str], rows: Sequence[Sequence[object]],
+def _fmt_complex(v: Optional[complex]) -> Tuple[str, str]:
+    """(re, im) as strings; ("nan", "nan") for a value not computed."""
+    if v is None:
+        return "nan", "nan"
+    return _fmt(v.real), _fmt(v.imag)
+
+
+def _emit(args, params: Dict[str, object], columns: Sequence[str],
+          rows: Sequence[Sequence[object]],
           trailer: Optional[Dict[str, object]] = None) -> None:
-    if fmt == "json":
-        payload = {"meta": {**params, **(trailer or {})},
+    """Write `rows` to args.out in args.format, headed by the subcommand and
+    `params`; `trailer` follows the rows (CSV) or joins the meta (JSON)."""
+    if args.format == "json":
+        payload = {"meta": {"_cmd": args.command, **params, **(trailer or {})},
                    "columns": list(columns),
                    "rows": [dict(zip(columns, r)) for r in rows]}
         text = json.dumps(payload, sort_keys=True, indent=1,
                           default=lambda o: repr(o)) + "\n"
     else:
-        lines = [f"# twistlab {params.pop('_cmd', 'run')}"]
-        for k in sorted(params):
-            lines.append(f"# {k}={params[k]}")
-        lines.append(",".join(columns))
-        for r in rows:
-            lines.append(",".join(str(v) for v in r))
-        if trailer:
-            for k in sorted(trailer):
-                lines.append(f"# {k}={trailer[k]}")
+        def comments(d):
+            return [f"# {k}={d[k]}" for k in sorted(d)]
+        lines = [f"# twistlab {args.command}", *comments(params), ",".join(columns),
+                 *(",".join(str(v) for v in r) for r in rows), *comments(trailer or {})]
         text = "\n".join(lines) + "\n"
-    _write_text(path, text)
+    _write_text(args.out, text)
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -143,20 +148,10 @@ def _load(args) -> LSeriesInstance:
     raise UsageError("one of --preset or --config is required")
 
 
-def _smoothing(args, rho_default: Optional[float] = None) -> SmoothingParams:
-    kw = {}
-    if getattr(args, "p", None) is not None:
-        kw["p"] = args.p
-    rho = getattr(args, "rho", None)
-    if rho is not None:
-        kw["rho"] = rho
-    elif rho_default is not None:
-        kw["rho"] = rho_default
-    if getattr(args, "X", None) is not None:
-        kw["X"] = args.X
-    if getattr(args, "epsilon", None) is not None:
-        kw["epsilon"] = args.epsilon
-    return SmoothingParams(**kw)
+def _smoothing(args) -> SmoothingParams:
+    """SmoothingParams from whichever of --p, --rho, --X, --epsilon are set."""
+    kw = {k: getattr(args, k, None) for k in ("p", "rho", "X", "epsilon")}
+    return SmoothingParams(**{k: v for k, v in kw.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -195,60 +190,50 @@ def _cmd_describe(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     L = _load(args)
-    params = {"_cmd": "coeffs", "preset": L.name}
+    params = {"preset": L.name}
     if args.bulk is not None:
         table = L.coefficients.bulk(args.bulk).values
         params["bulk"] = args.bulk
-        rows = [(n, _fmt(table[n - 1].real), _fmt(table[n - 1].imag))
-                for n in range(1, args.bulk + 1)]
-        _emit(args.out, args.format, params, ("n", "re", "im"), rows)
-        return 0
-    if args.n is None:
+        rows = [(n, *_fmt_complex(table[n - 1])) for n in range(1, args.bulk + 1)]
+    elif args.n is not None:
+        params["n"] = args.n
+        rows = [(args.n, *_fmt_complex(L.coefficients.coefficient(args.n)))]
+    else:
         raise UsageError("coeffs needs --n or --bulk")
-    v = L.coefficients.coefficient(args.n)
-    params["n"] = args.n
-    _emit(args.out, args.format, params, ("n", "re", "im"),
-          [(args.n, _fmt(v.real), _fmt(v.imag))])
+    _emit(args, params, ("n", "re", "im"), rows)
     return 0
 
 
 def _cmd_eval(args) -> int:
     L = _load(args)
     sp = _smoothing(args)
-    ts = parse_grid(args.t)
     rows = []
-    for t in ts:
+    for t in parse_grid(args.t):
         ev = smoothed_value(L, args.sigma, t, sp)
-        rows.append((_fmt(t), _fmt(ev.value.real), _fmt(ev.value.imag),
-                     ev.terms_used, _fmt(ev.tail_bound)))
-    params = {"_cmd": "eval", "preset": L.name, "sigma": args.sigma,
-              "t": args.t, "p": sp.p, "X": sp.X if sp.X is not None else "auto",
-              "epsilon": sp.epsilon}
-    _emit(args.out, args.format, params,
-          ("t", "re", "im", "terms_used", "tail_bound"), rows)
+        rows.append((_fmt(t), *_fmt_complex(ev.value), ev.terms_used,
+                     _fmt(ev.tail_bound)))
+    params = {"preset": L.name, "sigma": args.sigma, "t": args.t, "p": sp.p,
+              "X": sp.X if sp.X is not None else "auto", "epsilon": sp.epsilon}
+    _emit(args, params, ("t", "re", "im", "terms_used", "tail_bound"), rows)
     return 0
 
 
 def _cmd_gamma_check(args) -> int:
     L = _load(args)
-    ts = parse_grid(args.t_grid)
     rows = []
-    for t in ts:
+    for t in parse_grid(args.t_grid):
         r = gamma_ratio_compare(L.fe.gamma, args.x, t)
-        rows.append((_fmt(t), _fmt(r.exact.real), _fmt(r.exact.imag),
-                     _fmt(r.asymptotic.real), _fmt(r.asymptotic.imag),
+        rows.append((_fmt(t), *_fmt_complex(r.exact), *_fmt_complex(r.asymptotic),
                      _fmt(r.relative_error)))
-    params = {"_cmd": "gamma-check", "preset": L.name, "x": args.x,
-              "t_grid": args.t_grid}
-    _emit(args.out, args.format, params,
-          ("t", "exact_re", "exact_im", "asym_re", "asym_im", "rel_err"), rows)
+    params = {"preset": L.name, "x": args.x, "t_grid": args.t_grid}
+    _emit(args, params, ("t", "exact_re", "exact_im", "asym_re", "asym_im", "rel_err"),
+          rows)
     return 0
 
 
 def _cmd_osc(args) -> int:
-    ns = parse_int_range(args.n)
     rows = []
-    for n in ns:
+    for n in parse_int_range(args.n):
         pf = PhaseFamily(alpha=args.alpha, n=n, d=args.d)
         quad = sp_val = None
         if args.mode in ("quad", "both"):
@@ -256,16 +241,10 @@ def _cmd_osc(args) -> int:
         if args.mode in ("sp", "both") and in_stationary_range(pf, args.T):
             sp_val = I_n_stationary_phase(pf, args.T)
         diff = abs(quad - sp_val) if quad is not None and sp_val is not None else math.nan
-        rows.append((n,
-                     _fmt(quad.real) if quad is not None else "nan",
-                     _fmt(quad.imag) if quad is not None else "nan",
-                     _fmt(sp_val.real) if sp_val is not None else "nan",
-                     _fmt(sp_val.imag) if sp_val is not None else "nan",
-                     _fmt(diff)))
-    params = {"_cmd": "osc", "d": args.d, "alpha": args.alpha, "T": args.T,
-              "n": args.n, "mode": args.mode, "tol": args.tol}
-    _emit(args.out, args.format, params,
-          ("n", "quad_re", "quad_im", "sp_re", "sp_im", "abs_diff"), rows)
+        rows.append((n, *_fmt_complex(quad), *_fmt_complex(sp_val), _fmt(diff)))
+    params = {"d": args.d, "alpha": args.alpha, "T": args.T, "n": args.n,
+              "mode": args.mode, "tol": args.tol}
+    _emit(args, params, ("n", "quad_re", "quad_im", "sp_re", "sp_im", "abs_diff"), rows)
     return 0
 
 
@@ -274,36 +253,21 @@ def _cmd_transform(args) -> int:
         sys.stdout.write(constant_conventions())
         return 0
     L = _load(args)
-    routes = tuple(r.strip() for r in args.routes.split(","))
-    for r in routes:
-        if r not in ("direct", "sum", "fe"):
-            raise UsageError(f"unknown route {r!r}")
+    requested = tuple(r.strip() for r in args.routes.split(","))
+    routes = [r for r in ROUTES if r in requested]
+    pairs = list(itertools.combinations(routes, 2))
     sp = _smoothing(args)
-    Ts = parse_grid(args.T_grid)
     rows = []
-    for T in Ts:
-        rep = run_transform(L, args.m, T, sp, routes=routes, force=args.force)
-        row: List[object] = [_fmt(T)]
-        for name, val in (("direct", rep.direct), ("sum", rep.sum_side),
-                          ("fe", rep.fe_side)):
-            if name in routes:
-                row.extend((_fmt(val.real), _fmt(val.imag)))
-        for key in ("direct-sum", "direct-fe", "sum-fe"):
-            if key in rep.deviations:
-                row.append(_fmt(rep.deviations[key]))
-        rows.append(tuple(row))
-    columns: List[str] = ["T"]
-    for name in ("direct", "sum", "fe"):
-        if name in routes:
-            columns.extend((f"{name}_re", f"{name}_im"))
-    pairs = [f"dev_{a}_{b}" for a, b in (("direct", "sum"), ("direct", "fe"),
-                                         ("sum", "fe"))
-             if a in routes and b in routes]
-    columns.extend(pairs)
-    params = {"_cmd": "transform", "preset": L.name, "m": args.m,
-              "T_grid": args.T_grid, "routes": args.routes, "p": sp.p,
-              "rho": sp.rho}
-    _emit(args.out, args.format, params, columns, rows)
+    for T in parse_grid(args.T_grid):
+        rep = run_transform(L, args.m, T, sp, routes=requested, force=args.force)
+        value = dict(zip(ROUTES, (rep.direct, rep.sum_side, rep.fe_side)))
+        rows.append((_fmt(T), *(x for r in routes for x in _fmt_complex(value[r])),
+                     *(_fmt(rep.deviations[f"{a}-{b}"]) for a, b in pairs)))
+    columns = ["T", *(f"{r}_{part}" for r in routes for part in ("re", "im")),
+               *(f"dev_{a}_{b}" for a, b in pairs)]
+    params = {"preset": L.name, "m": args.m, "T_grid": args.T_grid,
+              "routes": args.routes, "p": sp.p, "rho": sp.rho}
+    _emit(args, params, columns, rows)
     return 0
 
 
@@ -316,28 +280,26 @@ def _cmd_twist_scan(args) -> int:
             alpha = float(args.alpha)
         except ValueError:
             raise UsageError(f"--alpha must be 'auto' or a number, got {args.alpha!r}")
-    sp = _smoothing(args, rho_default=TWIST_RHO)
-    Ts = parse_grid(args.T_grid)
-    report = run_twist_scan(L, alpha, Ts, sp)
-    rows = [(_fmt(T), _fmt(tw.real), _fmt(tw.imag), _fmt(nm))
+    sp = _smoothing(args)
+    report = run_twist_scan(L, alpha, parse_grid(args.T_grid), sp)
+    rows = [(_fmt(T), *_fmt_complex(tw), _fmt(nm))
             for T, tw, nm in zip(report.grid, report.twist_values, report.normalized)]
-    params = {"_cmd": "twist-scan", "preset": L.name, "alpha": alpha,
-              "T_grid": args.T_grid, "p": sp.p, "rho": sp.rho, "m": args.m}
-    _emit(args.out, args.format, params, ("T", "tw_re", "tw_im", "normalized"),
-          rows, trailer={"slope": _fmt(report.slope),
-                         "slope_stderr": _fmt(report.slope_stderr)})
+    params = {"preset": L.name, "alpha": alpha, "T_grid": args.T_grid,
+              "p": sp.p, "rho": sp.rho, "m": args.m}
+    _emit(args, params, ("T", "tw_re", "tw_im", "normalized"), rows,
+          trailer={"slope": _fmt(report.slope),
+                   "slope_stderr": _fmt(report.slope_stderr)})
     return 0
 
 
 def _cmd_summatory(args) -> int:
     L = _load(args)
-    Xs = parse_grid(args.X_grid)
-    sums = [abs_partial_sum(L, X) for X in Xs]
-    slope, stderr = growth_exponent(Xs, sums)
-    rows = [(_fmt(X), _fmt(s)) for X, s in zip(Xs, sums)]
-    params = {"_cmd": "summatory", "preset": L.name, "X_grid": args.X_grid}
-    _emit(args.out, args.format, params, ("X", "sum"), rows,
-          trailer={"slope": _fmt(slope), "slope_stderr": _fmt(stderr)})
+    report = run_growth_scan(L, parse_grid(args.X_grid))
+    rows = [(_fmt(X), _fmt(s)) for X, s in zip(report.grid, report.sums)]
+    params = {"preset": L.name, "X_grid": args.X_grid}
+    _emit(args, params, ("X", "sum"), rows,
+          trailer={"slope": _fmt(report.slope),
+                   "slope_stderr": _fmt(report.slope_stderr)})
     return 0
 
 
@@ -345,16 +307,13 @@ def _cmd_certify(args) -> int:
     L = _load(args)
     alpha = L.resonance_alpha(args.m)
     kap = kappa(L, alpha, args.m, "oracle-calibrated")
-    sp = _smoothing(args, rho_default=TWIST_RHO)
-    Ts = parse_grid(args.T_grid)
-    report = omega_certificate(L, alpha, args.m, kap, Ts, sp)
+    sp = _smoothing(args)
+    report = omega_certificate(L, alpha, args.m, kap, parse_grid(args.T_grid), sp)
     rows = [(_fmt(r.T), _fmt(r.twist_abs), _fmt(r.bound),
              int(r.passed), _fmt(r.margin)) for r in report.rows]
-    params = {"_cmd": "certify", "preset": L.name, "m": args.m,
-              "alpha": alpha, "T_grid": args.T_grid, "p": sp.p, "rho": sp.rho,
-              "constant": _fmt(report.constant)}
-    _emit(args.out, args.format, params,
-          ("T", "lhs", "rhs", "pass", "margin"), rows)
+    params = {"preset": L.name, "m": args.m, "alpha": alpha, "T_grid": args.T_grid,
+              "p": sp.p, "rho": sp.rho, "constant": _fmt(report.constant)}
+    _emit(args, params, ("T", "lhs", "rhs", "pass", "margin"), rows)
     if args.strict and not report.all_passed():
         return 3
     return 0
@@ -367,84 +326,71 @@ def _build_parser() -> _Parser:
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, preset=True):
+    def command(name, func, help, preset=True, resonance=False, rho=None):
+        """The parser of subcommand `name`, which runs `func`: --out and
+        --format; --preset or --config unless preset=False; with
+        resonance=True, --m, --p and --rho (default `rho`)."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         if preset:
-            p.add_argument("--preset", choices=PRESET_NAMES)
-            p.add_argument("--config", help="JSON config for a custom instance")
+            instance = p.add_mutually_exclusive_group()
+            instance.add_argument("--preset", choices=PRESET_NAMES)
+            instance.add_argument("--config", help="JSON config for a custom instance")
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if resonance:
+            p.add_argument("--m", type=int, default=1)
+            p.add_argument("--p", type=float)
+            p.add_argument("--rho", type=float, default=rho)
+        return p
 
-    p = sub.add_parser("describe", help="derived invariants of an instance")
-    common(p)
-    p.set_defaults(func=_cmd_describe)
+    command("describe", _cmd_describe, "derived invariants of an instance")
 
-    p = sub.add_parser("coeffs", help="coefficient values")
-    common(p)
+    p = command("coeffs", _cmd_coeffs, "coefficient values")
     p.add_argument("--n", type=int)
     p.add_argument("--bulk", type=int)
-    p.set_defaults(func=_cmd_coeffs)
 
-    p = sub.add_parser("eval", help="smoothed evaluation of F(sigma + it)")
-    common(p)
+    p = command("eval", _cmd_eval, "smoothed evaluation of F(sigma + it)")
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--t", required=True, help="value or grid a:b:n")
     p.add_argument("--X", type=float)
     p.add_argument("--p", type=float)
     p.add_argument("--epsilon", type=float)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("gamma-check", help="exact vs asymptotic gamma ratio")
-    common(p)
+    p = command("gamma-check", _cmd_gamma_check, "exact vs asymptotic gamma ratio")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--t-grid", dest="t_grid", required=True)
-    p.set_defaults(func=_cmd_gamma_check)
 
-    p = sub.add_parser("osc", help="resonance-kernel integrals I_n")
-    common(p, preset=False)
+    p = command("osc", _cmd_osc, "resonance-kernel integrals I_n", preset=False)
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--n", required=True, help="N1:N2[:step]")
     p.add_argument("--mode", choices=("quad", "sp", "both"), default="both")
     p.add_argument("--tol", type=float, default=1e-4)
-    p.set_defaults(func=_cmd_osc)
 
-    p = sub.add_parser("transform", help="three-route resonance transform")
-    common(p)
-    p.add_argument("--m", type=int, default=1)
+    p = command("transform", _cmd_transform, "three-route resonance transform",
+                resonance=True)
     p.add_argument("--T-grid", dest="T_grid", default="50:200:geom2")
-    p.add_argument("--routes", default="direct,sum,fe")
-    p.add_argument("--p", type=float)
-    p.add_argument("--rho", type=float)
+    p.add_argument("--routes", default=",".join(ROUTES))
     p.add_argument("--force", action="store_true",
                    help="override the operation-budget guard")
     p.add_argument("--ledger", action="store_true",
                    help="print the constant-convention notes and exit")
-    p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("twist-scan", help="additive twist over a T grid")
-    common(p)
+    p = command("twist-scan", _cmd_twist_scan, "additive twist over a T grid",
+                resonance=True, rho=TWIST_RHO)
     p.add_argument("--alpha", default="auto")
-    p.add_argument("--m", type=int, default=1)
     p.add_argument("--T-grid", dest="T_grid", required=True)
-    p.add_argument("--p", type=float)
-    p.add_argument("--rho", type=float)
-    p.set_defaults(func=_cmd_twist_scan)
 
-    p = sub.add_parser("summatory", help="|a_n| partial sums over an X grid")
-    common(p)
+    p = command("summatory", _cmd_summatory, "|a_n| partial sums over an X grid")
     p.add_argument("--X-grid", dest="X_grid", required=True)
-    p.set_defaults(func=_cmd_summatory)
 
-    p = sub.add_parser("certify", help="lower-bound certificate per dyadic T")
-    common(p)
-    p.add_argument("--m", type=int, default=1)
+    p = command("certify", _cmd_certify, "lower-bound certificate per dyadic T",
+                resonance=True, rho=TWIST_RHO)
     p.add_argument("--T-grid", dest="T_grid", required=True)
     p.add_argument("--strict", action="store_true",
                    help="exit 3 if any grid point fails")
-    p.add_argument("--p", type=float)
-    p.add_argument("--rho", type=float)
-    p.set_defaults(func=_cmd_certify)
 
     return top
 

@@ -260,37 +260,33 @@ def tau_integers(N: int) -> List[int]:
 
 
 class RamanujanTauProvider(CoefficientProvider):
-    """Normalized a_n = tau(n) / n^{11/2}; integer tau table kept exact."""
+    """Normalized a_n = tau(n) / n^{11/2}, from the exact tau integers."""
 
     kind = "preset"
     mag_bound = (2.0, 0.5)  # |a_n| <= d(n) <= 2 sqrt(n)
 
     def __init__(self):
-        # (exact tau(0..N), normalized a_1..a_N), replaced as one object so
-        # that a concurrent reader never pairs a new tau list with a stale
-        # normalized table
-        self._table: Tuple[List[int], np.ndarray] = ([0], np.empty(0))
+        # normalized a_1..a_N; an extension is published by one assignment,
+        # so a concurrent reader sees either the old table or the new one
+        self._table = np.empty(0)
 
-    def _ensure(self, N: int) -> Tuple[List[int], np.ndarray]:
+    def _ensure(self, N: int) -> np.ndarray:
         table = self._table
-        if len(table[0]) - 1 < N:
+        if len(table) < N:
             tau = tau_integers(N)
             n = np.arange(1, N + 1, dtype=float)
-            table = (tau, np.asarray([float(t) for t in tau[1:]]) / n ** 5.5)
+            table = np.asarray([float(t) for t in tau[1:]]) / n ** 5.5
             self._table = table
         return table
-
-    def tau_int(self, n: int) -> int:
-        return self._ensure(n)[0][n]
 
     def coefficient(self, n: int) -> complex:
         if n < 1:
             raise ValueError("n must be >= 1")
-        return complex(self._ensure(n)[1][n - 1])
+        return complex(self._ensure(n)[n - 1])
 
     def bulk(self, N: int) -> CoefficientTable:
         N = _guard_bulk(N)
-        return CoefficientTable(self._ensure(N)[1][:N].astype(complex))
+        return CoefficientTable(self._ensure(N)[:N].astype(complex))
 
 
 def ramanujan_tau_table(N: int) -> CoefficientTable:

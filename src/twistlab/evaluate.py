@@ -9,8 +9,7 @@ corrections, for any abscissa sigma and many t at once: it removes the pole
 terms (from the declared Laurent data) and the k = 1, 2 residues (through the
 functional equation), which is what pushes standalone evaluation to ~1e-10
 absolute accuracy at desk scale.  smoothed_value is its one-point case.
-Callers that only need the raw smoothed object (the transform pipeline
-budgets those remainders into its route deviations) pass corrections=False.
+corrections=False gives the raw smoothed object instead.
 
 The series are summed by Taylor blocks (Odlyzko-Schoenhage, Trans. AMS 309,
 1988; Hiary, Ann. of Math. 174, 2011): each t is snapped to a centre m on a
@@ -161,9 +160,9 @@ def fe_cross_check(L: LSeriesInstance, t: float, sp: SmoothingParams) -> float:
     ratio.  A mis-entered Q, omega, gamma spec, or coefficient stream makes
     this blow up, so it validates preset data end to end."""
     s = complex(0.5, t)
-    _check_pole_proximity(L, s)
     F = smoothed_value(L, 0.5, t, sp).value
-    Ft = smoothed_value_conjugate(L, 0.5, t, sp).value
+    # on the critical line 1 - conj(s) = s, so Ft(1 - s) is conj(F(s))
+    Ft = F.conjugate()
     ratio = complex(gamma_ratio_exact_grid(L.fe.gamma, 0.5, np.array(t)))
     Q = L.fe.Q
     reflected = L.fe.omega * Q ** (1.0 - 2.0 * s) * ratio * Ft
@@ -171,29 +170,24 @@ def fe_cross_check(L: LSeriesInstance, t: float, sp: SmoothingParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Independent zeta oracle: accelerated alternating series
+# Independent zeta oracle: Euler-Maclaurin summation
 # ---------------------------------------------------------------------------
-
-def _borwein(s: complex, order: int) -> complex:
-    d = [0] * (order + 1)
-    acc = 0
-    for i in range(order + 1):
-        acc += (math.factorial(order + i - 1) * 4 ** i
-                // (math.factorial(order - i) * math.factorial(2 * i)))
-        d[i] = order * acc
-    dn = d[order]
-    total = 0.0 + 0.0j
-    for k in range(order):
-        total += (-1) ** k * ((d[k] - dn) / dn) * (k + 1) ** (-s)
-    return -total / (1.0 - 2.0 ** (1.0 - s))
-
 
 _EM_BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66,
                  -691.0 / 2730, 7.0 / 6, -3617.0 / 510, 43867.0 / 798,
                  -174611.0 / 330, 854513.0 / 138, -236364091.0 / 2730)
+_EM_B26 = 8553103.0 / 6
+_EM_MAX_REMAINDER = 1e-14
 
 
-def _euler_maclaurin(s: complex) -> complex:
+def reference_zeta(s: complex) -> complex:
+    """zeta(s) by Euler-Maclaurin summation: the terms n < N, the integral
+    and half-term at N, and the B_2..B_24 corrections, with
+    N = max(32, 2|Im s| + 8); ~1e-12 for |Im s| <= 100 and 0 <= Re s <= 3.
+    Raises ArithmeticError if the remainder bound exceeds 1e-14."""
+    s = complex(s)
+    if abs(s - 1.0) < 1e-12:
+        raise PoleError("zeta pole at s = 1")
     N = max(32, int(2 * abs(s.imag)) + 8)
     n = np.arange(1, N, dtype=float)
     total = complex(np.sum(np.exp(-s * np.log(n))))
@@ -204,24 +198,16 @@ def _euler_maclaurin(s: complex) -> complex:
         total += b2k / math.factorial(2 * k) * poch * npow
         poch *= (s + (2 * k - 1)) * (s + 2 * k)
         npow /= N * N
+    # With v corrections the remainder is at most |s + 2v + 1| / (Re s + 2v + 1)
+    # times the first omitted term (Edwards, Riemann's Zeta Function, 6.4).
+    # The bound needs Re s + 2v + 1 > 0.
+    v = len(_EM_BERNOULLI)
+    omitted = abs(_EM_B26 / math.factorial(2 * v + 2) * poch * npow)
+    denom = s.real + 2 * v + 1
+    remainder = abs(s + 2 * v + 1) / denom * omitted if denom > 0 else math.inf
+    if not remainder <= _EM_MAX_REMAINDER:
+        raise ArithmeticError(f"Euler-Maclaurin remainder {remainder:.1e} at s = {s}")
     return total
-
-
-def reference_zeta(s: complex) -> complex:
-    """zeta(s) by the accelerated alternating series; ~1e-12 for |Im s| <= 100
-    and 0 <= Re s <= 3.  Falls back to Euler-Maclaurin near the zeros of the
-    alternating-series denominator 1 - 2^{1-s}."""
-    s = complex(s)
-    if abs(s - 1.0) < 1e-12:
-        raise PoleError("zeta pole at s = 1")
-    if abs(1.0 - 2.0 ** (1.0 - s)) < 0.05:
-        return _euler_maclaurin(s)
-    order = int((abs(s.imag) * math.pi / 2 + 30.0) / 1.7627) + 12
-    v1 = _borwein(s, order)
-    v2 = _borwein(s, order + 20)
-    if abs(v1 - v2) > 1e-9 * (1.0 + abs(v2)):
-        return _euler_maclaurin(s)
-    return v2
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ freely between workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from .errors import ResonanceError
@@ -125,20 +125,19 @@ class SmoothingParams:
 
     p: float = 2.0
     rho: float = 0.5
-    eta: float = 0.5
     epsilon: float = 1e-12
     X: Optional[float] = None
 
     def __post_init__(self):
-        if not (self.p > self.eta > 0.0):
-            raise ValueError("need p > eta > 0")
+        if not self.p > 0.5:
+            raise ValueError("need p > 1/2")
         if not (0.0 < self.epsilon <= 1e-3):
             raise ValueError("epsilon must lie in (0, 1e-3]")
         if self.X is not None and not self.X > 0.0:
             raise ValueError("X must be positive when given")
 
     def with_X(self, X: float) -> "SmoothingParams":
-        return SmoothingParams(self.p, self.rho, self.eta, self.epsilon, float(X))
+        return replace(self, X=float(X))
 
     def cutoff(self, T: float, d: float) -> float:
         """X if set, else the scale-aware default T^{d + rho}."""

@@ -47,6 +47,7 @@ class GrowthReport:
     sums: Tuple[float, ...]
     slope: float
     intercept: float
+    slope_stderr: float
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,11 @@ def additive_twist(L: LSeriesInstance, alpha: float, T: float,
     return _twist(_grid_table(L, [T]), alpha, T, _twist_degree(L), sp)
 
 
-def growth_exponent(grid: Sequence[float], values: Sequence[float]) -> Tuple[float, float]:
-    """Least-squares slope of log(values) against log(grid), with the
-    standard error from the fit residuals.  Needs >= 4 geometrically spaced
-    points."""
+def _loglog_fit(grid: Sequence[float],
+                values: Sequence[float]) -> Tuple[float, float, float]:
+    """Least-squares fit of log(values) against log(grid): slope, intercept,
+    and the slope's standard error from the fit residuals.  Needs >= 4
+    geometrically spaced points."""
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     if grid.size < 4:
@@ -150,16 +152,20 @@ def growth_exponent(grid: Sequence[float], values: Sequence[float]) -> Tuple[flo
     resid = y - (slope * x + intercept)
     dof = max(1, grid.size - 2)
     stderr = math.sqrt(float(np.dot(resid, resid)) / dof / sxx)
+    return slope, intercept, stderr
+
+
+def growth_exponent(grid: Sequence[float], values: Sequence[float]) -> Tuple[float, float]:
+    """Slope and standard error of the log-log fit (see _loglog_fit)."""
+    slope, _, stderr = _loglog_fit(grid, values)
     return slope, stderr
 
 
 def run_growth_scan(L: LSeriesInstance, X_grid: Sequence[float]) -> GrowthReport:
     sums = [abs_partial_sum(L, X) for X in X_grid]
-    slope, _ = growth_exponent(X_grid, sums)
-    x = np.log(np.asarray(X_grid, dtype=float))
-    intercept = float(np.mean(np.log(sums)) - slope * np.mean(x))
-    return GrowthReport(grid=tuple(float(v) for v in X_grid),
-                        sums=tuple(sums), slope=slope, intercept=intercept)
+    slope, intercept, stderr = _loglog_fit(X_grid, sums)
+    return GrowthReport(grid=tuple(float(v) for v in X_grid), sums=tuple(sums),
+                        slope=slope, intercept=intercept, slope_stderr=stderr)
 
 
 def run_twist_scan(L: LSeriesInstance, alpha: float, T_grid: Sequence[float],

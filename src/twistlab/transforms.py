@@ -38,6 +38,7 @@ shrink as T grows):
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -52,6 +53,8 @@ from .oscillatory import integrate_oscillatory
 from .summation import compensated_sum
 
 KAPPA_CONVENTIONS = ("paper-printed", "oracle-calibrated")
+#: the transform routes, in the order reports and outputs list them
+ROUTES = ("direct", "sum", "fe")
 # integrate_oscillatory starts at half the quarter-period panel count and
 # doubles; at H_direct's tolerance it stops after that second level
 _EXPECTED_LEVELS = 2
@@ -77,10 +80,14 @@ class TransformReport:
 
 
 def _budget() -> float:
+    text = os.environ.get("TWISTLAB_BUDGET", "1e9")
     try:
-        return float(os.environ.get("TWISTLAB_BUDGET", "1e9"))
+        budget = float(text)
     except ValueError:
-        return 1e9
+        budget = math.nan
+    if not budget > 0.0:
+        raise ValueError(f"TWISTLAB_BUDGET must be a number > 0, got {text!r}")
+    return budget
 
 
 def _require_transform_degree(L: LSeriesInstance) -> float:
@@ -98,28 +105,26 @@ def _phase_estimate(line: SmoothedLineEvaluator, a: float, b: float) -> float:
 
 
 def H_direct(L: LSeriesInstance, alpha: float, T: float, sp: SmoothingParams,
-             corrections: bool = True, force: bool = False,
-             tol: Optional[float] = None) -> complex:
+             force: bool = False) -> complex:
     """Direct quadrature route.  Cost is the line evaluator's phase
     exponentials (see _phase_estimate); configurations whose estimate
     exceeds the operation budget (TWISTLAB_BUDGET, default 1e9) are refused
     unless force=True."""
     d = _require_transform_degree(L)
+    budget = _budget()
     a, b = 2.0 * alpha * T, 3.0 * alpha * T
     for pole in L.fe.poles:
         if abs(pole.location.real - 0.5) < 1e-6 and a - 1e-6 <= pole.location.imag <= b + 1e-6:
             raise PoleError(f"pole of {L.name!r} on the integration segment")
     X = sp.cutoff(T, d)
-    line = SmoothedLineEvaluator(L, sp.with_X(X), corrections=corrections)
+    line = SmoothedLineEvaluator(L, sp.with_X(X))
 
     cost = _phase_estimate(line, a, b)
-    if cost > _budget() and not force:
+    if cost > budget and not force:
         raise BudgetError(
             f"H_direct estimated cost {cost:.2e} exceeds budget "
-            f"{_budget():.2e}; pass force=True or raise TWISTLAB_BUDGET")
-
-    if tol is None:
-        tol = max(1e-8, 1e-4 * T)
+            f"{budget:.2e}; pass force=True or raise TWISTLAB_BUDGET")
+    tol = max(1e-8, 1e-4 * T)
 
     def phase(t):
         return d * t * (np.log(t / alpha) - 1.0) - math.pi / 4.0
@@ -231,25 +236,25 @@ def _pair_dev(x: complex, y: complex) -> float:
 
 
 def run_transform(L: LSeriesInstance, m: int, T: float, sp: SmoothingParams,
-                  routes: Sequence[str] = ("direct", "sum", "fe"),
-                  corrections: bool = True, force: bool = False) -> TransformReport:
-    """Evaluate the requested H routes at one T and report pairwise relative
-    deviations |a - b| / max(|a|, |b|)."""
+                  routes: Sequence[str] = ROUTES,
+                  force: bool = False) -> TransformReport:
+    """Evaluate the requested H routes (names from ROUTES) at one T and
+    report pairwise relative deviations |a - b| / max(|a|, |b|), keyed
+    "a-b" in ROUTES order."""
+    for r in routes:
+        if r not in ROUTES:
+            raise ValueError(f"unknown route {r!r}")
     alpha = L.resonance_alpha(m)
     values: Dict[str, complex] = {}
     if "direct" in routes:
-        values["direct"] = H_direct(L, alpha, T, sp, corrections=corrections,
-                                    force=force)
+        values["direct"] = H_direct(L, alpha, T, sp, force=force)
     if "sum" in routes:
         values["sum"] = H_sum_side(L, alpha, T, sp)
     if "fe" in routes:
         kap = kappa(L, alpha, m, "oracle-calibrated")
         values["fe"] = H_fe_side(L, alpha, T, kap, m)
-    devs = {}
-    names = [r for r in ("direct", "sum", "fe") if r in values]
-    for i, r1 in enumerate(names):
-        for r2 in names[i + 1:]:
-            devs[f"{r1}-{r2}"] = _pair_dev(values[r1], values[r2])
+    devs = {f"{r1}-{r2}": _pair_dev(values[r1], values[r2])
+            for r1, r2 in itertools.combinations(values, 2)}
     return TransformReport(T=T, direct=values.get("direct"),
                            sum_side=values.get("sum"), fe_side=values.get("fe"),
                            deviations=devs)

@@ -2,11 +2,14 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
 from twistlab.cli import UsageError, main, parse_grid, parse_int_range
-from twistlab.presets import preset_config
+from twistlab.presets import PRESET_NAMES, load_instance, preset_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def run(capsys, *argv):
@@ -103,6 +106,26 @@ class TestExitCodes:
                            "--m", "1", "--T-grid", "5", "--routes", "direct")
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "0"])
+    def test_budget_not_a_positive_number(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("TWISTLAB_BUDGET", value)
+        code, _, err = run(capsys, "transform", "--preset", "zeta",
+                           "--m", "1", "--T-grid", "5", "--routes", "direct")
+        assert code == 1
+        assert err.startswith("usage error: TWISTLAB_BUDGET")
+
+    def test_preset_and_config_exclusive(self, capsys):
+        code, _, err = run(capsys, "describe", "--preset", "zeta",
+                           "--config", str(CONFIGS / "delta.json"))
+        assert code == 1
+        assert err.startswith("usage error: ")
+
+    def test_unknown_route(self, capsys):
+        code, _, err = run(capsys, "transform", "--preset", "zeta",
+                           "--T-grid", "20", "--routes", "sum,bogus")
+        assert code == 1
+        assert err == "usage error: unknown route 'bogus'\n"
+
     def test_strict_certificate_failure(self, capsys, tmp_path):
         # the weight-12 certificate fails its lower bound (measured margin
         # ~0.97): --strict must exit 3
@@ -176,6 +199,16 @@ class TestCustomConfig:
         assert code == 0
         assert "4.898979485566357" in out
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_shipped_config_matches_preset(self, name):
+        with open(CONFIGS / f"{name}.json", encoding="utf-8") as fh:
+            assert json.load(fh) == preset_config(name)
+
+    def test_custom_example_loads(self):
+        L = load_instance(str(CONFIGS / "custom-example.json"))
+        assert L.name == "custom-example"
+        assert L.invariants().d == 1.0
+
     def test_malformed_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{\"name\": \"x\"}")
@@ -208,3 +241,78 @@ class TestDeterminism:
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert len(out1.read_bytes()) > 0
+
+
+class TestLayout:
+    """Header, meta keys and column names of every subcommand, in both
+    formats; no value is pinned."""
+
+    CASES = [
+        ("coeffs", ["--preset", "zeta", "--n", "3"],
+         ["n", "preset"], ["n", "re", "im"], []),
+        ("coeffs", ["--preset", "zeta", "--bulk", "3"],
+         ["bulk", "preset"], ["n", "re", "im"], []),
+        ("eval", ["--preset", "zeta", "--sigma", "0.5", "--t", "20", "--X", "1000"],
+         ["X", "epsilon", "p", "preset", "sigma", "t"],
+         ["t", "re", "im", "terms_used", "tail_bound"], []),
+        ("gamma-check", ["--preset", "zeta", "--x", "0.6", "--t-grid", "100"],
+         ["preset", "t_grid", "x"],
+         ["t", "exact_re", "exact_im", "asym_re", "asym_im", "rel_err"], []),
+        ("osc", ["--d", "1", "--alpha", "6.283185307179586", "--T", "3000",
+                 "--n", "6200", "--mode", "sp"],
+         ["T", "alpha", "d", "mode", "n", "tol"],
+         ["n", "quad_re", "quad_im", "sp_re", "sp_im", "abs_diff"], []),
+        ("transform", ["--preset", "zeta", "--T-grid", "20"],
+         ["T_grid", "m", "p", "preset", "rho", "routes"],
+         ["T", "direct_re", "direct_im", "sum_re", "sum_im", "fe_re", "fe_im",
+          "dev_direct_sum", "dev_direct_fe", "dev_sum_fe"], []),
+        ("transform", ["--preset", "zeta", "--T-grid", "20", "--routes", "fe,sum"],
+         ["T_grid", "m", "p", "preset", "rho", "routes"],
+         ["T", "sum_re", "sum_im", "fe_re", "fe_im", "dev_sum_fe"], []),
+        ("twist-scan", ["--preset", "zeta", "--T-grid", "2^5:2^8"],
+         ["T_grid", "alpha", "m", "p", "preset", "rho"],
+         ["T", "tw_re", "tw_im", "normalized"], ["slope", "slope_stderr"]),
+        ("summatory", ["--preset", "zeta", "--X-grid", "2^5:2^8"],
+         ["X_grid", "preset"], ["X", "sum"], ["slope", "slope_stderr"]),
+        ("certify", ["--preset", "zeta", "--T-grid", "2^5:2^8"],
+         ["T_grid", "alpha", "constant", "m", "p", "preset", "rho"],
+         ["T", "lhs", "rhs", "pass", "margin"], []),
+    ]
+    DESCRIBE_KEYS = ["name", "d", "A", "B", "C", "Q", "omega_re", "omega_im",
+                     "sigma_a", "pole_1", "resonance_alpha_m1"]
+
+    @pytest.mark.parametrize("cmd, argv, meta, columns, trailer", CASES,
+                             ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
+    def test_csv(self, capsys, cmd, argv, meta, columns, trailer):
+        code, out, _ = run(capsys, cmd, *argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == f"# twistlab {cmd}"
+        head = lines[1:1 + len(meta)]
+        assert [ln[2:].split("=")[0] for ln in head] == meta
+        assert all(ln.startswith("# ") for ln in head)
+        assert lines[1 + len(meta)].split(",") == columns
+        body = lines[2 + len(meta):]
+        assert [ln[2:].split("=")[0] for ln in body if ln.startswith("# ")] == trailer
+        assert all(len(ln.split(",")) == len(columns)
+                   for ln in body if not ln.startswith("# "))
+
+    @pytest.mark.parametrize("cmd, argv, meta, columns, trailer", CASES,
+                             ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)])
+    def test_json(self, capsys, cmd, argv, meta, columns, trailer):
+        code, out, _ = run(capsys, cmd, *argv, "--format", "json")
+        assert code == 0
+        data = json.loads(out)
+        assert sorted(data) == ["columns", "meta", "rows"]
+        assert data["meta"]["_cmd"] == cmd
+        assert sorted(data["meta"]) == sorted(["_cmd", *meta, *trailer])
+        assert data["columns"] == columns
+        assert data["rows"] and all(sorted(r) == sorted(columns) for r in data["rows"])
+
+    def test_describe(self, capsys):
+        code, out, _ = run(capsys, "describe", "--preset", "zeta")
+        assert code == 0
+        assert [ln.split("=")[0] for ln in out.splitlines()] == self.DESCRIBE_KEYS
+        code, out, _ = run(capsys, "describe", "--preset", "zeta", "--format", "json")
+        assert code == 0
+        assert sorted(json.loads(out)) == sorted(self.DESCRIBE_KEYS)

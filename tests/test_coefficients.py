@@ -192,8 +192,7 @@ class TestTau:
 
     def test_deligne_tripwire(self):
         N = 10 ** 5
-        prov = RamanujanTauProvider()
-        tau, _ = prov._ensure(N)
+        tau = tau_integers(N)
         d = np.zeros(N + 1, dtype=np.int64)
         for k in range(1, N + 1):
             d[k::k] += 1

@@ -104,6 +104,24 @@ class TestReferenceZeta:
         # frozen 25-digit value at this point
         assert abs(v - (1.3465795428363166 + 0.10988313679627004j)) < 1e-9
 
+    def test_matches_mpmath_on_documented_range(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for sigma in np.linspace(0.0, 3.0, 7):
+                for t in np.linspace(-100.0, 100.0, 21):
+                    if sigma == 1.0 and t == 0.0:
+                        continue
+                    want = complex(mpmath.zeta(mpmath.mpc(sigma, t)))
+                    got = reference_zeta(complex(sigma, t))
+                    assert abs(got - want) <= 1e-12, (sigma, t)
+
+    def test_remainder_guard(self):
+        # the Euler-Maclaurin remainder bound exceeds 1e-14 far left of the
+        # documented range, and does not hold at all for Re s <= -25
+        for s in (-24.5, -30.5 + 10j):
+            with pytest.raises(ArithmeticError):
+                reference_zeta(s)
+
 
 class TestSmoothedValue:
     def test_basel_with_small_cutoff(self):

@@ -148,7 +148,7 @@ class TestValidation:
 
     def test_smoothing_params(self):
         with pytest.raises(ValueError):
-            SmoothingParams(p=0.5, eta=0.5)  # needs p > eta
+            SmoothingParams(p=0.5)  # needs p > 1/2
         with pytest.raises(ValueError):
             SmoothingParams(epsilon=0.1)
         sp = SmoothingParams().with_X(100.0)

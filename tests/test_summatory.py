@@ -115,6 +115,11 @@ class TestGrowthExponent:
         with pytest.raises(ValueError):
             growth_exponent([1.0, 2.0, 4.0, 8.0], [1.0, -2.0, 3.0, 4.0])
 
+    def test_growth_scan_reports_the_fit(self):
+        grid = [2.0 ** j for j in range(7, 12)]
+        rep = run_growth_scan(get_preset("zeta-sq"), grid)
+        assert (rep.slope, rep.slope_stderr) == growth_exponent(grid, rep.sums)
+
     def test_stderr_reported(self):
         grid = [2.0 ** j for j in range(4, 10)]
         slope, stderr = growth_exponent(grid, [g ** 1.5 for g in grid])

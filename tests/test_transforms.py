@@ -131,6 +131,17 @@ class TestRoutes:
         assert abs(rep.direct) / 50.0 == pytest.approx(math.sqrt(TWO_PI), rel=0.03)
         assert abs(cmath.phase(rep.direct)) < 0.05
 
+    def test_unknown_route_rejected(self):
+        with pytest.raises(ValueError, match="unknown route 'bogus'"):
+            run_transform(get_preset("zeta"), 1, 20.0, SmoothingParams(),
+                          routes=("sum", "bogus"))
+
+    def test_route_subset_in_route_order(self):
+        rep = run_transform(get_preset("zeta"), 1, 20.0, SmoothingParams(),
+                            routes=("fe", "sum"))
+        assert rep.direct is None and rep.sum_side is not None
+        assert list(rep.deviations) == ["sum-fe"]
+
     def test_degenerate_small_T(self):
         v = H_direct(get_preset("zeta"), TWO_PI, 2.0, SmoothingParams())
         assert np.isfinite(v.real) and np.isfinite(v.imag)
@@ -159,6 +170,12 @@ class TestRoutes:
             H_direct(L, TWO_PI, 5.0, SmoothingParams())
         v = H_direct(L, TWO_PI, 5.0, SmoothingParams(), force=True)
         assert np.isfinite(abs(v))
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "0", "-1"])
+    def test_budget_must_be_a_positive_number(self, value, monkeypatch):
+        monkeypatch.setenv("TWISTLAB_BUDGET", value)
+        with pytest.raises(ValueError, match="TWISTLAB_BUDGET"):
+            H_direct(get_preset("zeta"), TWO_PI, 5.0, SmoothingParams())
 
     @pytest.mark.parametrize("name, T", [("zeta", 50.0), ("delta", 10.0)])
     def test_budget_estimate_counts_phase_exponentials(self, name, T, monkeypatch):
