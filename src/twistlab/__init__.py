@@ -7,26 +7,23 @@ resonance transform H(alpha, T), and additive-twist / summatory-growth
 experiments over a catalog of concrete L-series presets.
 """
 
-from .coefficients import (CoefficientProvider, CoefficientTable, bulk,
-                           coefficient, dirichlet_convolution,
-                           ramanujan_tau_table, tau_integers)
+from .coefficients import CoefficientProvider, CoefficientTable, tau_integers
 from .errors import (BudgetError, PoleError, QuadratureError, ResonanceError,
                      SectorError, TwistlabError)
 from .evaluate import (SmoothedEvaluation, SmoothedLineEvaluator,
-                       fe_cross_check, reference_zeta, smoothed_value,
-                       smoothed_value_conjugate)
+                       fe_cross_check, reference_zeta, smoothed_value)
 from .gammafn import (GammaRatioResult, digamma, gamma_ratio_asymptotic,
                       gamma_ratio_compare, gamma_ratio_exact, log_gamma,
                       sector_threshold)
 from .model import (DerivedInvariants, FunctionalEquationData,
                     GammaFactorSpec, LSeriesInstance, PoleData,
-                    SmoothingParams, degree, pick_resonant_index,
-                    resonance_alpha, stirling_constants)
+                    SmoothingParams, degree, resonance_alpha,
+                    stirling_constants)
 from .oscillatory import (PhaseFamily, QuadratureResult,
                           I_n_quadrature, I_n_stationary_phase,
                           first_derivative_bound, in_stationary_range,
-                          integrate_oscillatory, stationary_point)
-from .presets import get_preset, instance_from_config, list_presets, load_instance
+                          integrate_oscillatory)
+from .presets import get_preset, instance_from_config, load_instance
 from .summatory import (CertificateReport, GrowthReport, TwistReport,
                         abs_partial_sum, additive_twist, growth_exponent,
                         omega_certificate, run_growth_scan, run_twist_scan)

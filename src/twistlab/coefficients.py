@@ -36,9 +36,6 @@ class CoefficientTable:
     def __len__(self) -> int:
         return len(self.values)
 
-    def a(self, n: int) -> complex:
-        return complex(self.values[n - 1])
-
 
 class CoefficientProvider:
     """Base class: deterministic pointwise access plus bulk generation."""
@@ -224,11 +221,6 @@ class DirichletConvolutionProvider(CoefficientProvider):
         return CoefficientTable(out)
 
 
-def dirichlet_convolution(p1: CoefficientProvider,
-                          p2: CoefficientProvider) -> DirichletConvolutionProvider:
-    return DirichletConvolutionProvider(p1, p2)
-
-
 def _eta3_sparse(N: int) -> Tuple[np.ndarray, np.ndarray]:
     """Nonzero terms of prod (1-q^m)^3 = sum (-1)^k (2k+1) q^{k(k+1)/2}."""
     ks, idx, val = 0, [], []
@@ -287,16 +279,3 @@ class RamanujanTauProvider(CoefficientProvider):
     def bulk(self, N: int) -> CoefficientTable:
         N = _guard_bulk(N)
         return CoefficientTable(self._ensure(N)[:N].astype(complex))
-
-
-def ramanujan_tau_table(N: int) -> CoefficientTable:
-    """Normalized tau table a_n = tau(n)/n^{11/2} for n <= N."""
-    return RamanujanTauProvider().bulk(N)
-
-
-def coefficient(provider: CoefficientProvider, n: int) -> complex:
-    return provider.coefficient(n)
-
-
-def bulk(provider: CoefficientProvider, N: int) -> CoefficientTable:
-    return provider.bulk(N)

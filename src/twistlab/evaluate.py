@@ -7,9 +7,14 @@ what it computes differs from F(s) by (i) one term per declared pole of F and
 SmoothedLineEvaluator is the one implementation of the series and of both
 corrections, for any abscissa sigma and many t at once: it removes the pole
 terms (from the declared Laurent data) and the k = 1, 2 residues (through the
-functional equation), which is what pushes standalone evaluation to ~1e-10
-absolute accuracy at desk scale.  smoothed_value is its one-point case.
+functional equation).  smoothed_value is its one-point case.
 corrections=False gives the raw smoothed object instead.
+
+`tail_bound` certifies only the truncation of each series.  It does not
+cover the contour remainder past k = 2, which can be far larger: at
+sigma = 1/2, zeta-scaled at the default X is off by 1.0e-7 at t = 30 and
+4.5e-5 at t = 50, and zeta-sq at X = 1e3 by 9.6 at t = 300, each with
+tail_bound 1.1e-12 (ROADMAP open item 2).
 
 The series are summed by Taylor blocks (Odlyzko-Schoenhage, Trans. AMS 309,
 1988; Hiary, Ann. of Math. 174, 2011): each t is snapped to a centre m on a
@@ -141,16 +146,6 @@ def smoothed_value(L: LSeriesInstance, z: complex, t: float, sp: SmoothingParams
                               tail_bound=line.tail)
 
 
-def smoothed_value_conjugate(L: LSeriesInstance, z: complex, t: float,
-                             sp: SmoothingParams,
-                             corrections: bool = True) -> SmoothedEvaluation:
-    """Smoothed evaluation of Ft(1 - z - it) (conjugated coefficients,
-    reflected exponent): identically conj(F(1 - conj(z) + it))."""
-    ev = smoothed_value(L, 1.0 - complex(z).conjugate(), t, sp, corrections)
-    return SmoothedEvaluation(value=ev.value.conjugate(),
-                              terms_used=ev.terms_used, tail_bound=ev.tail_bound)
-
-
 def fe_cross_check(L: LSeriesInstance, t: float, sp: SmoothingParams) -> float:
     """Relative functional-equation defect on the critical line,
 
@@ -184,10 +179,14 @@ def reference_zeta(s: complex) -> complex:
     """zeta(s) by Euler-Maclaurin summation: the terms n < N, the integral
     and half-term at N, and the B_2..B_24 corrections, with
     N = max(32, 2|Im s| + 8); ~1e-12 for |Im s| <= 100 and 0 <= Re s <= 3.
-    Raises ArithmeticError if the remainder bound exceeds 1e-14."""
+    Raises ArithmeticError for Re s < 0, where the sum loses all accuracy to
+    cancellation although the remainder bound is small, and wherever the
+    remainder bound exceeds 1e-14."""
     s = complex(s)
     if abs(s - 1.0) < 1e-12:
         raise PoleError("zeta pole at s = 1")
+    if s.real < 0.0:
+        raise ArithmeticError(f"Euler-Maclaurin sum is inaccurate at Re s < 0, s = {s}")
     N = max(32, int(2 * abs(s.imag)) + 8)
     n = np.arange(1, N, dtype=float)
     total = complex(np.sum(np.exp(-s * np.log(n))))

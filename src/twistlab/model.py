@@ -51,11 +51,6 @@ class GammaFactorSpec:
         object.__setattr__(self, "numerator", _as_complex_pairs(self.numerator))
         object.__setattr__(self, "denominator", _as_complex_pairs(self.denominator))
 
-    def concat(self, other: "GammaFactorSpec") -> "GammaFactorSpec":
-        """Spec of a product: gamma factors of F1*F2 concatenate."""
-        return GammaFactorSpec(self.numerator + other.numerator,
-                               self.denominator + other.denominator)
-
 
 @dataclass(frozen=True)
 class PoleData:
@@ -131,6 +126,9 @@ class SmoothingParams:
     def __post_init__(self):
         if not self.p > 0.5:
             raise ValueError("need p > 1/2")
+        # X = T^{d+rho} must exceed the (t/2pi)^d that K_T reaches
+        if not (math.isfinite(self.rho) and self.rho > 0.0):
+            raise ValueError(f"rho must be finite and > 0, got {self.rho}")
         if not (0.0 < self.epsilon <= 1e-3):
             raise ValueError("epsilon must lie in (0, 1e-3]")
         if self.X is not None and not self.X > 0.0:
@@ -230,12 +228,3 @@ def resonance_alpha(m: int, inv: DerivedInvariants, Q: float) -> float:
     if m < 1:
         raise ValueError("m must be a positive integer")
     return (m / (inv.C * Q * Q)) ** (1.0 / inv.d)
-
-
-def pick_resonant_index(L: LSeriesInstance, search_bound: int) -> int:
-    """Smallest index m <= search_bound with |a_m| > 1e-12."""
-    for m in range(1, int(search_bound) + 1):
-        if abs(L.coefficients.coefficient(m)) > 1e-12:
-            return m
-    raise ResonanceError(
-        f"no nonzero coefficient of {L.name!r} below {search_bound}")

@@ -44,7 +44,7 @@ class QuadratureResult:
 @dataclass(frozen=True)
 class PhaseFamily:
     """Phase f(t) = d t log(t / (e alpha x_n)) with x_n = n^{1/d}, plus its
-    first three derivatives in closed form."""
+    first derivative in closed form."""
 
     alpha: float
     n: int
@@ -68,24 +68,8 @@ class PhaseFamily:
     def fprime(self, t):
         return self.d * np.log(t / (self.alpha * self.x_n))
 
-    def fsecond(self, t):
-        return self.d / t
-
-    def fthird(self, t):
-        return -self.d / (t * t)
-
     def interval(self, T: float) -> Tuple[float, float]:
         return 2.0 * self.alpha * T, 3.0 * self.alpha * T
-
-
-def _eval_phase(phase: Callable, t: np.ndarray) -> np.ndarray:
-    try:
-        out = np.asarray(phase(t), dtype=float)
-        if out.shape == t.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.asarray([phase(v) for v in t], dtype=float)
 
 
 def _panel_nodes(a: float, b: float, n_panels: int):
@@ -98,17 +82,18 @@ def _panel_nodes(a: float, b: float, n_panels: int):
 
 
 def integrate_oscillatory(phase: Callable, K: Tuple[float, float], tol: float,
-                          dphase: Optional[Callable] = None,
+                          dphase: Callable,
                           amplitude: Optional[Callable] = None) -> QuadratureResult:
     """Adaptive panel quadrature of amplitude(t) e^{i phase(t)} over K.
 
+    phase, dphase (its derivative) and amplitude take and return arrays.
     The target mesh keeps each panel under a quarter of the shortest local
-    oscillation period (|f'| estimated by finite differences unless dphase
-    is supplied) and never uses fewer than MIN_PANELS panels.  Refinement
-    starts one level below that density and doubles the panel count until
-    two successive levels differ by less than tol, never returning a result
-    from a mesh coarser than the quarter-period rule; est_error reports the
-    last delta.  Exact for the zero phase.
+    oscillation period (from max |dphase| on 513 sample points) and never
+    uses fewer than MIN_PANELS panels.  Refinement starts one level below
+    that density and doubles the panel count until two successive levels
+    differ by less than tol, never returning a result from a mesh coarser
+    than the quarter-period rule; est_error reports the last delta.  Exact
+    for the zero phase.
     """
     a, b = float(K[0]), float(K[1])
     if not tol > 0.0:
@@ -118,12 +103,7 @@ def integrate_oscillatory(phase: Callable, K: Tuple[float, float], tol: float,
     if b == a:
         return QuadratureResult(0.0 + 0.0j, 0, 0.0)
 
-    sample = np.linspace(a, b, 513)
-    if dphase is not None:
-        rate = float(np.max(np.abs(_eval_phase(dphase, sample))))
-    else:
-        ph = _eval_phase(phase, sample)
-        rate = float(np.max(np.abs(np.diff(ph) / np.diff(sample))))
+    rate = float(np.max(np.abs(dphase(np.linspace(a, b, 513)))))
     rate *= 1.25  # sampling headroom
 
     width_cap = PERIOD_FRACTION * 2.0 * math.pi / rate if rate > 0 else math.inf
@@ -132,7 +112,7 @@ def integrate_oscillatory(phase: Callable, K: Tuple[float, float], tol: float,
 
     def level(n: int) -> complex:
         nodes, weights = _panel_nodes(a, b, n)
-        vals = np.exp(1j * _eval_phase(phase, nodes))
+        vals = np.exp(1j * phase(nodes))
         if amplitude is not None:
             vals = vals * amplitude(nodes)
         return complex(np.sum(weights * vals))
@@ -149,11 +129,6 @@ def integrate_oscillatory(phase: Callable, K: Tuple[float, float], tol: float,
         if delta < tol and n_next >= n_rule:
             return QuadratureResult(cur, n_next, delta)
         prev, n_panels = cur, n_next
-
-
-def stationary_point(pf: PhaseFamily) -> float:
-    """The zero of f': c = alpha n^{1/d}."""
-    return pf.alpha * pf.x_n
 
 
 def in_stationary_range(pf: PhaseFamily, T: float) -> bool:

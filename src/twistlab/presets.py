@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Dict, List
+from typing import Dict
 
 from .coefficients import (ArgumentScaleProvider, CoefficientProvider,
                            DirichletConvolutionProvider, OnesProvider,
@@ -21,9 +21,6 @@ from .model import (FunctionalEquationData, GammaFactorSpec, LSeriesInstance,
 
 EULER_GAMMA = 0.5772156649015328606
 ZETA2 = math.pi ** 2 / 6.0
-
-PRESET_NAMES = ("zeta", "zeta-doubled", "dirichlet-chi4", "zeta-sq",
-                "zeta-shift-pair", "zeta-scaled", "delta")
 
 _tau_provider = RamanujanTauProvider()  # shared: the exact table is expensive
 
@@ -123,6 +120,7 @@ _FACTORIES = {
     "zeta-scaled": _zeta_scaled,
     "delta": _delta,
 }
+PRESET_NAMES = tuple(_FACTORIES)
 
 _CACHE: Dict[str, LSeriesInstance] = {}
 
@@ -133,10 +131,6 @@ def get_preset(name: str) -> LSeriesInstance:
     if name not in _CACHE:
         _CACHE[name] = _FACTORIES[name]()
     return _CACHE[name]
-
-
-def list_presets() -> List[str]:
-    return list(PRESET_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -191,25 +185,3 @@ def instance_from_config(cfg: dict) -> LSeriesInstance:
 def load_instance(path: str) -> LSeriesInstance:
     with open(path, "r", encoding="utf-8") as fh:
         return instance_from_config(json.load(fh))
-
-
-def preset_config(name: str) -> dict:
-    """Serialize a preset's FE data to the config format (coefficient source
-    is recorded as a preset reference)."""
-    L = get_preset(name)
-    g = L.fe.gamma
-    return {
-        "name": L.name,
-        "lambda": [l for l, _ in g.numerator],
-        "mu": [[m.real, m.imag] for _, m in g.numerator],
-        "lambda_prime": [l for l, _ in g.denominator],
-        "mu_prime": [[m.real, m.imag] for _, m in g.denominator],
-        "Q": L.fe.Q,
-        "omega": [L.fe.omega.real, L.fe.omega.imag],
-        "sigma_a": L.sigma_a,
-        "coefficients": {"kind": "preset", "name": name},
-        "poles": [{"location": [p.location.real, p.location.imag],
-                   "order": p.order,
-                   "leading": [[c.real, c.imag] for c in p.leading]}
-                  for p in L.fe.poles],
-    }

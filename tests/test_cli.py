@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from twistlab.cli import UsageError, main, parse_grid, parse_int_range
-from twistlab.presets import PRESET_NAMES, load_instance, preset_config
+from twistlab.presets import PRESET_NAMES, get_preset, load_instance
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -82,7 +82,11 @@ class TestExitCodes:
         ["eval", "--preset", "zeta", "--sigma", "0.5", "--t", "30",
          "--epsilon", "1"],
         ["summatory", "--preset", "zeta", "--X-grid", "2^3:2^4"],
-    ], ids=["bulk-0", "n-0", "X-negative", "epsilon-1", "short-grid"])
+        ["transform", "--preset", "zeta", "--T-grid", "20", "--rho", "-1"],
+        ["twist-scan", "--preset", "zeta", "--T-grid", "2^5:2^8", "--rho", "nan"],
+        ["certify", "--preset", "zeta", "--T-grid", "2^5:2^8", "--rho", "0"],
+    ], ids=["bulk-0", "n-0", "X-negative", "epsilon-1", "short-grid",
+            "rho-negative", "rho-nan", "rho-0"])
     def test_usage_out_of_range(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1
@@ -188,10 +192,8 @@ class TestOutputs:
 
 
 class TestCustomConfig:
-    def test_roundtrip_preset_config(self, tmp_path, capsys):
-        cfg = preset_config("zeta-shift-pair")
-        path = tmp_path / "custom.json"
-        path.write_text(json.dumps(cfg))
+    def test_roundtrip_preset_config(self, capsys):
+        path = CONFIGS / "zeta-shift-pair.json"
         code, out, _ = run(capsys, "describe", "--config", str(path))
         assert code == 0
         assert "d=2.0" in out
@@ -201,8 +203,13 @@ class TestCustomConfig:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_shipped_config_matches_preset(self, name):
-        with open(CONFIGS / f"{name}.json", encoding="utf-8") as fh:
-            assert json.load(fh) == preset_config(name)
+        # the parsed instance, poles and Laurent data included, is the preset
+        got = load_instance(str(CONFIGS / f"{name}.json"))
+        want = get_preset(name)
+        assert got.name == want.name
+        assert got.fe == want.fe
+        assert got.sigma_a == want.sigma_a
+        assert got.coefficients is want.coefficients
 
     def test_custom_example_loads(self):
         L = load_instance(str(CONFIGS / "custom-example.json"))

@@ -13,7 +13,6 @@ from twistlab.coefficients import (ArgumentScaleProvider,
                                    DirichletConvolutionProvider, OnesProvider,
                                    PeriodicProvider, RamanujanTauProvider,
                                    TableProvider, VerticalShiftProvider,
-                                   dirichlet_convolution, ramanujan_tau_table,
                                    tau_integers)
 from twistlab.errors import BudgetError
 from twistlab.exactconv import conv_exact
@@ -67,21 +66,22 @@ class TestPointwise:
 
 class TestConvolution:
     def test_divisor_count(self):
-        conv = dirichlet_convolution(OnesProvider(), OnesProvider())
+        conv = DirichletConvolutionProvider(OnesProvider(), OnesProvider())
         assert conv.coefficient(12).real == pytest.approx(divisor_count(12))
         assert divisor_count(12) == 6
 
     def test_identity_element(self):
         delta1 = TableProvider([1.0])
-        conv = dirichlet_convolution(get_preset("zeta-shift-pair").coefficients, delta1)
+        base = get_preset("zeta-shift-pair").coefficients
+        conv = DirichletConvolutionProvider(base, delta1)
         for n in (1, 5, 12, 30):
-            want = get_preset("zeta-shift-pair").coefficients.coefficient(n)
+            want = base.coefficient(n)
             assert conv.coefficient(n) == pytest.approx(want)
 
     def test_shift_convolution_matches_direct_formula(self):
         ones = OnesProvider()
-        conv = dirichlet_convolution(VerticalShiftProvider(ones, 0.5),
-                                     VerticalShiftProvider(ones, -0.5))
+        conv = DirichletConvolutionProvider(VerticalShiftProvider(ones, 0.5),
+                                            VerticalShiftProvider(ones, -0.5))
         assert conv.coefficient(6).real == pytest.approx(4.898979485566356, rel=1e-12)
 
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=8),
@@ -89,8 +89,8 @@ class TestConvolution:
     @settings(max_examples=30, deadline=None)
     def test_commutative(self, v1, v2):
         p1, p2 = TableProvider(v1), TableProvider(v2)
-        a = dirichlet_convolution(p1, p2).bulk(16).values
-        b = dirichlet_convolution(p2, p1).bulk(16).values
+        a = DirichletConvolutionProvider(p1, p2).bulk(16).values
+        b = DirichletConvolutionProvider(p2, p1).bulk(16).values
         assert np.allclose(a, b, atol=1e-12)
 
     @given(st.lists(st.integers(-3, 3), min_size=1, max_size=6),
@@ -99,8 +99,9 @@ class TestConvolution:
     @settings(max_examples=20, deadline=None)
     def test_associative(self, v1, v2, v3):
         p1, p2, p3 = TableProvider(v1), TableProvider(v2), TableProvider(v3)
-        a = dirichlet_convolution(dirichlet_convolution(p1, p2), p3).bulk(12).values
-        b = dirichlet_convolution(p1, dirichlet_convolution(p2, p3)).bulk(12).values
+        conv = DirichletConvolutionProvider
+        a = conv(conv(p1, p2), p3).bulk(12).values
+        b = conv(p1, conv(p2, p3)).bulk(12).values
         assert np.allclose(a, b, atol=1e-12)
 
 
@@ -152,9 +153,9 @@ class TestTau:
                              -113643, -115920, 534612, -370944]
 
     def test_normalized_a2(self):
-        table = ramanujan_tau_table(4)
-        assert table.a(1).real == pytest.approx(1.0)
-        assert table.a(2).real == pytest.approx(-0.5303300858899106, rel=1e-14)
+        table = RamanujanTauProvider().bulk(4).values
+        assert table[0].real == pytest.approx(1.0)
+        assert table[1].real == pytest.approx(-0.5303300858899106, rel=1e-14)
 
     def test_multiplicativity_spot(self):
         tau = tau_integers(40)

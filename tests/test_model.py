@@ -1,4 +1,4 @@
-"""Core-model tests: degree, derived constants, resonance, index picking."""
+"""Core-model tests: degree, derived constants, resonance, validation."""
 import math
 
 import pytest
@@ -8,8 +8,8 @@ from twistlab.coefficients import TableProvider
 from twistlab.errors import ResonanceError
 from twistlab.model import (DerivedInvariants, FunctionalEquationData,
                             GammaFactorSpec, LSeriesInstance, PoleData,
-                            SmoothingParams, degree, pick_resonant_index,
-                            resonance_alpha, stirling_constants)
+                            SmoothingParams, degree, resonance_alpha,
+                            stirling_constants)
 from twistlab.presets import get_preset
 
 
@@ -33,18 +33,6 @@ class TestDegree:
         single = get_preset("zeta").fe.gamma
         doubled = get_preset("zeta-doubled").fe.gamma
         assert degree(single) == degree(doubled) == 1.0
-
-    @given(
-        st.lists(st.tuples(st.floats(0.1, 3.0), st.complex_numbers(max_magnitude=4.0)),
-                 min_size=1, max_size=4),
-        st.lists(st.tuples(st.floats(0.1, 3.0), st.complex_numbers(max_magnitude=4.0)),
-                 min_size=1, max_size=4),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_additive_under_concat(self, pairs1, pairs2):
-        s1 = GammaFactorSpec(tuple(pairs1))
-        s2 = GammaFactorSpec(tuple(pairs2))
-        assert degree(s1.concat(s2)) == pytest.approx(degree(s1) + degree(s2))
 
 
 class TestStirlingConstants:
@@ -104,25 +92,6 @@ class TestResonance:
         assert C * Q * Q * alpha ** d == pytest.approx(m, rel=1e-12)
 
 
-class TestPickResonantIndex:
-    def test_zeta(self):
-        assert pick_resonant_index(get_preset("zeta"), 10) == 1
-
-    def test_square_supported(self):
-        assert pick_resonant_index(get_preset("zeta-scaled"), 10) == 1
-
-    def test_contrived_gap(self):
-        fe = get_preset("zeta").fe
-        L = LSeriesInstance("gap", TableProvider([0, 0, 0, 0, 1.0]), fe, 1.0)
-        assert pick_resonant_index(L, 10) == 5
-
-    def test_not_found(self):
-        fe = get_preset("zeta").fe
-        L = LSeriesInstance("null", TableProvider([0, 0, 0]), fe, 1.0)
-        with pytest.raises(ResonanceError):
-            pick_resonant_index(L, 8)
-
-
 class TestValidation:
     def test_lambda_positive(self):
         with pytest.raises(ValueError):
@@ -151,5 +120,9 @@ class TestValidation:
             SmoothingParams(p=0.5)  # needs p > 1/2
         with pytest.raises(ValueError):
             SmoothingParams(epsilon=0.1)
+        # rho <= 0 puts X = T^{d+rho} below the (t/2pi)^d that K_T needs
+        for rho in (math.nan, math.inf, -1.0, 0.0):
+            with pytest.raises(ValueError, match="rho"):
+                SmoothingParams(rho=rho)
         sp = SmoothingParams().with_X(100.0)
         assert sp.X == 100.0

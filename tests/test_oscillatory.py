@@ -14,8 +14,7 @@ from twistlab.errors import QuadratureError
 from twistlab.oscillatory import (PhaseFamily, I_n_quadrature,
                                   I_n_stationary_phase,
                                   first_derivative_bound,
-                                  in_stationary_range, integrate_oscillatory,
-                                  stationary_point)
+                                  in_stationary_range, integrate_oscillatory)
 
 FRESNEL_0_20 = 0.605400599504312649 + 0.639816006175832889j
 TWO_PI = 2 * math.pi
@@ -23,40 +22,36 @@ TWO_PI = 2 * math.pi
 
 class TestIntegrateOscillatory:
     def test_zero_phase_exact(self):
-        r = integrate_oscillatory(lambda t: np.zeros_like(t), (0.0, 2.0), 1e-12)
+        r = integrate_oscillatory(np.zeros_like, (0.0, 2.0), 1e-12, np.zeros_like)
         assert r.value == pytest.approx(2.0, abs=1e-13)
         assert r.panels >= 8
 
     def test_linear_phase_closed_form(self):
-        r = integrate_oscillatory(lambda t: t, (0.0, math.pi), 1e-10)
+        r = integrate_oscillatory(lambda t: t, (0.0, math.pi), 1e-10, np.ones_like)
         assert abs(r.value - 2j) < 1e-10
 
     def test_fresnel_frozen_value(self):
-        r = integrate_oscillatory(lambda t: t * t, (0.0, 20.0), 1e-8)
+        r = integrate_oscillatory(lambda t: t * t, (0.0, 20.0), 1e-8,
+                                  lambda t: 2 * t)
         assert abs(r.value - FRESNEL_0_20) < 1e-7
         # proximity to the infinite-range limit sqrt(pi/8)(1+i); the true
         # distance is 0.0250, the tail of the Fresnel integral at 20
         limit = math.sqrt(math.pi / 8) * (1 + 1j)
         assert abs(r.value - limit) < 0.03
 
-    def test_scalar_phase_callable(self):
-        r = integrate_oscillatory(lambda t: float(t) * 0.5, (0.0, 1.0), 1e-9)
-        want = (np.exp(0.5j) - 1.0) / 0.5j
-        assert abs(r.value - want) < 1e-9
-
     def test_est_error_honest(self):
-        r = integrate_oscillatory(lambda t: t, (0.0, 10.0), 1e-9)
+        r = integrate_oscillatory(lambda t: t, (0.0, 10.0), 1e-9, np.ones_like)
         assert r.est_error < 1e-9
 
     def test_degenerate_interval(self):
-        r = integrate_oscillatory(lambda t: t, (3.0, 3.0), 1e-9)
+        r = integrate_oscillatory(lambda t: t, (3.0, 3.0), 1e-9, np.ones_like)
         assert r.value == 0.0
 
     def test_budget_exhaustion_carries_partial(self, monkeypatch):
         from twistlab import oscillatory as mod
         monkeypatch.setattr(mod, "PANEL_BUDGET", 8)
         with pytest.raises(QuadratureError) as err:
-            integrate_oscillatory(lambda t: t, (0.0, math.pi), 1e-300)
+            integrate_oscillatory(lambda t: t, (0.0, math.pi), 1e-300, np.ones_like)
         assert err.value.partial is not None
         assert abs(err.value.partial.value - 2j) < 1e-10
 
@@ -78,16 +73,13 @@ class TestPhaseFamily:
         h = 1e-4
         fp_num = (pf.f(t + h) - pf.f(t - h)) / (2 * h)
         assert np.allclose(fp_num, pf.fprime(t), rtol=1e-6)
-        fpp_num = (pf.fprime(t + h) - pf.fprime(t - h)) / (2 * h)
-        assert np.allclose(fpp_num, pf.fsecond(t), rtol=1e-6)
-        fppp_num = (pf.fsecond(t + h) - pf.fsecond(t - h)) / (2 * h)
-        assert np.allclose(fppp_num, pf.fthird(t), rtol=1e-5)
 
     def test_stationary_point_examples(self):
-        assert stationary_point(PhaseFamily(TWO_PI, 1, 1.0)) == pytest.approx(TWO_PI)
-        assert stationary_point(PhaseFamily(TWO_PI, 10 ** 4, 2.0)) == pytest.approx(200 * math.pi)
-        pf = PhaseFamily(TWO_PI, 77, 1.0)
-        assert abs(pf.fprime(stationary_point(pf))) < 1e-12
+        # f' vanishes at c = alpha n^{1/d}
+        assert PhaseFamily(TWO_PI, 10 ** 4, 2.0).x_n == pytest.approx(100.0)
+        for pf in (PhaseFamily(TWO_PI, 1, 1.0), PhaseFamily(TWO_PI, 10 ** 4, 2.0),
+                   PhaseFamily(TWO_PI, 77, 1.0)):
+            assert abs(pf.fprime(pf.alpha * pf.x_n)) < 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
