@@ -89,6 +89,11 @@ def _twist_window(T: float) -> Tuple[int, int]:
     return lo, hi
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+
+
 def _twist_degree(L: LSeriesInstance) -> float:
     d = L.invariants().d
     if d < 1.0:
@@ -122,6 +127,7 @@ def _twist(table: np.ndarray, alpha: float, T: float, d: float,
 def additive_twist(L: LSeriesInstance, alpha: float, T: float,
                    sp: SmoothingParams) -> complex:
     """The smoothed twisted sum over T < n < 4T (see module notes)."""
+    _check_alpha(alpha)
     return _twist(_grid_table(L, [T]), alpha, T, _twist_degree(L), sp)
 
 
@@ -170,6 +176,7 @@ def run_growth_scan(L: LSeriesInstance, X_grid: Sequence[float]) -> GrowthReport
 
 def run_twist_scan(L: LSeriesInstance, alpha: float, T_grid: Sequence[float],
                    sp: SmoothingParams) -> TwistReport:
+    _check_alpha(alpha)
     d = _twist_degree(L)
     expo = 0.5 + 1.0 / (2.0 * d)
     table = _grid_table(L, T_grid)
@@ -187,6 +194,7 @@ def omega_certificate(L: LSeriesInstance, alpha: float, m: int,
                       sp: SmoothingParams) -> CertificateReport:
     """Per-T check of the certificate chain.  A failing row is a recorded
     result, not an error."""
+    _check_alpha(alpha)
     d = _twist_degree(L)
     a_m = L.coefficients.coefficient(m)
     constant = 0.5 * abs(kap.value) * math.sqrt(d) * abs(a_m)

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import BudgetError, PoleError, ResonanceError
 from .evaluate import SmoothedLineEvaluator
-from .model import LSeriesInstance, SmoothingParams, resonance_alpha
+from .model import LSeriesInstance, SmoothingParams
 from .oscillatory import integrate_oscillatory
 from .summation import compensated_sum
 

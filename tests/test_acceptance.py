@@ -24,9 +24,8 @@ from twistlab.model import SmoothingParams
 from twistlab.oscillatory import (PhaseFamily, I_n_quadrature,
                                   I_n_stationary_phase, first_derivative_bound)
 from twistlab.presets import get_preset
-from twistlab.summatory import (TWIST_RHO, additive_twist, growth_exponent,
-                                omega_certificate, run_growth_scan,
-                                run_twist_scan)
+from twistlab.summatory import (TWIST_RHO, additive_twist, omega_certificate,
+                                run_growth_scan, run_twist_scan)
 from twistlab.transforms import kappa, run_transform
 
 TWO_PI = 2 * math.pi

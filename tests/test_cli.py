@@ -1,7 +1,5 @@
 """CLI tests: parsing, outputs, exit codes, determinism, custom configs."""
 import json
-import math
-import os
 from pathlib import Path
 
 import pytest
@@ -85,8 +83,13 @@ class TestExitCodes:
         ["transform", "--preset", "zeta", "--T-grid", "20", "--rho", "-1"],
         ["twist-scan", "--preset", "zeta", "--T-grid", "2^5:2^8", "--rho", "nan"],
         ["certify", "--preset", "zeta", "--T-grid", "2^5:2^8", "--rho", "0"],
+        ["twist-scan", "--preset", "zeta", "--T-grid", "2^5:2^8", "--alpha", "nan"],
+        ["twist-scan", "--preset", "zeta", "--T-grid", "2^5:2^8", "--alpha", "-3"],
+        ["twist-scan", "--preset", "zeta", "--T-grid", "2^5:2^8", "--alpha", "0"],
+        ["twist-scan", "--preset", "zeta", "--T-grid", "2^5:2^8", "--alpha", "inf"],
     ], ids=["bulk-0", "n-0", "X-negative", "epsilon-1", "short-grid",
-            "rho-negative", "rho-nan", "rho-0"])
+            "rho-negative", "rho-nan", "rho-0", "alpha-nan", "alpha-negative",
+            "alpha-0", "alpha-inf"])
     def test_usage_out_of_range(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1

@@ -146,6 +146,78 @@ class TestBulkPrefix:
             assert fresh().bulk(M).values.tobytes() == table[:M].tobytes(), M
 
 
+def single_loop_sweep(t1, t2):
+    """The divisor-lattice sweep without the hyperbola split: one strided
+    add per d = 1..N, the reference for the split's loop bounds."""
+    N = len(t1)
+    out = np.zeros(N, dtype=complex)
+    for d in range(1, N + 1):
+        v = t1[d - 1]
+        if v != 0.0:
+            out[d - 1 :: d] += v * t2[: N // d]
+    return out
+
+
+class TestHyperbolaSweep:
+    # H_sum_side's table at T = 150, (3 T)^2 - 1: the largest one that
+    # perfbench's sums workload builds
+    N = 202499
+
+    @pytest.fixture(scope="class")
+    def sieves(self):
+        """d(n) and sigma(n) for n = 1..N by an integer sieve."""
+        N = self.N
+        count = np.zeros(N + 1, dtype=np.int64)
+        sigma = np.zeros(N + 1, dtype=np.int64)
+        for k in range(1, N + 1):
+            count[k::k] += 1
+            sigma[k::k] += k
+        return count[1:], sigma[1:]
+
+    def test_zeta_sq_is_the_divisor_count(self, sieves):
+        table = get_preset("zeta-sq").coefficients.bulk(self.N).values
+        assert np.array_equal(table.real, sieves[0].astype(float))
+        assert not np.any(table.imag)
+
+    def test_shift_pair_is_sigma_over_root(self, sieves):
+        table = get_preset("zeta-shift-pair").coefficients.bulk(self.N).values
+        n = np.arange(1, self.N + 1, dtype=float)
+        want = sieves[1].astype(float) / np.sqrt(n)
+        assert np.max(np.abs(table.real - want) / want) <= 4e-15
+        assert not np.any(table.imag)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["chi4-first", "chi4-second"])
+    def test_unequal_factors_with_zeros(self, swap):
+        # chi4 vanishes at even n, so each loop's zero skip is exercised in
+        # one of the two orders; the second loop reads the factors swapped
+        p1 = PeriodicProvider((1.0, 0.0, -1.0, 0.0))
+        p2 = VerticalShiftProvider(OnesProvider(), 0.5)
+        if swap:
+            p1, p2 = p2, p1
+        conv = DirichletConvolutionProvider(p1, p2)
+        for N in list(range(1, 41)) + [10 ** 4]:
+            t1, t2 = p1.bulk(N).values, p2.bulk(N).values
+            got = conv.bulk(N).values
+            want = single_loop_sweep(t1, t2)
+            # the two sweeps add the same products in different orders; for
+            # k <= 64 summands (n <= 1e4) the two results differ by at most
+            # 2(k - 1) u times the sum of |terms|, u = 2^-53: 1.4e-14 of it
+            majorant = single_loop_sweep(np.abs(t1), np.abs(t2)).real
+            assert np.all(np.abs(got - want) <= 1e-13 * majorant), N
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["chi4-first", "chi4-second"])
+    def test_unequal_factors_pointwise(self, swap):
+        # the n^{-1/2} values come from a table: VerticalShiftProvider's own
+        # pointwise power can differ from its bulk power in the last bit
+        p1 = PeriodicProvider((1.0, 0.0, -1.0, 0.0))
+        p2 = TableProvider(VerticalShiftProvider(OnesProvider(), 0.5).bulk(200).values)
+        if swap:
+            p1, p2 = p2, p1
+        conv = DirichletConvolutionProvider(p1, p2)
+        table = conv.bulk(200).values
+        assert table.tolist() == [conv.coefficient(n) for n in range(1, 201)]
+
+
 class TestTau:
     def test_first_values(self):
         tau = tau_integers(12)

@@ -160,6 +160,26 @@ class TestTwistScan:
         with pytest.raises(ValueError):
             omega_certificate(L, TWO_PI, 1, kap, grid, twist_sp())
 
+    @pytest.mark.parametrize("alpha", [math.nan, -3.0, 0.0, math.inf])
+    def test_bad_alpha_rejected_before_any_table(self, alpha):
+        class Untouched(PeriodicProvider):
+            def coefficient(self, n):
+                raise AssertionError("coefficient read")
+
+            def bulk(self, N):
+                raise AssertionError("table built")
+
+        base = get_preset("zeta")
+        L = dataclasses.replace(base, coefficients=Untouched([1.0]))
+        kap = kappa(base, TWO_PI, 1, "oracle-calibrated")
+        grid = [float(2 ** j) for j in range(5, 9)]
+        with pytest.raises(ValueError, match="alpha"):
+            additive_twist(L, alpha, 100.0, twist_sp())
+        with pytest.raises(ValueError, match="alpha"):
+            run_twist_scan(L, alpha, grid, twist_sp())
+        with pytest.raises(ValueError, match="alpha"):
+            omega_certificate(L, alpha, 1, kap, grid, twist_sp())
+
 
 class TestCertificate:
     def test_zeta_passes_with_margin(self):

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from twistlab.errors import BudgetError, ResonanceError
-from twistlab.model import (FunctionalEquationData, LSeriesInstance,
-                            SmoothingParams)
+from twistlab.model import LSeriesInstance, SmoothingParams
 from twistlab.coefficients import PeriodicProvider
 from twistlab import transforms
 from twistlab.presets import get_preset, instance_from_config
