@@ -12,9 +12,8 @@ from .errors import (BudgetError, PoleError, QuadratureError, ResonanceError,
                      SectorError, TwistlabError)
 from .evaluate import (SmoothedEvaluation, SmoothedLineEvaluator,
                        fe_cross_check, reference_zeta, smoothed_value)
-from .gammafn import (GammaRatioResult, digamma, gamma_ratio_asymptotic,
-                      gamma_ratio_compare, gamma_ratio_exact, log_gamma,
-                      sector_threshold)
+from .gammafn import (GammaRatioResult, gamma_ratio_asymptotic,
+                      gamma_ratio_compare, log_gamma, sector_threshold)
 from .model import (DerivedInvariants, FunctionalEquationData,
                     GammaFactorSpec, LSeriesInstance, PoleData,
                     SmoothingParams, degree, resonance_alpha,

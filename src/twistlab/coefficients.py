@@ -43,7 +43,6 @@ class CoefficientTable:
 class CoefficientProvider:
     """Base class: deterministic pointwise access plus bulk generation."""
 
-    kind = "abstract"
     #: (K, c) with |a_n| <= K n^c, used for truncation majorants.
     mag_bound: Tuple[float, float] = (1.0, 0.0)
 
@@ -59,7 +58,6 @@ class CoefficientProvider:
 class OnesProvider(CoefficientProvider):
     """a_n = 1 (the Riemann zeta coefficients)."""
 
-    kind = "preset"
     mag_bound = (1.0, 0.0)
 
     def coefficient(self, n: int) -> complex:
@@ -74,8 +72,6 @@ class OnesProvider(CoefficientProvider):
 
 class PeriodicProvider(CoefficientProvider):
     """a_n given by a repeating pattern (Dirichlet characters)."""
-
-    kind = "preset"
 
     def __init__(self, pattern: Sequence[complex]):
         self.pattern = tuple(complex(v) for v in pattern)
@@ -95,8 +91,6 @@ class PeriodicProvider(CoefficientProvider):
 
 class TableProvider(CoefficientProvider):
     """Coefficients from an explicit finite table; zero beyond it."""
-
-    kind = "custom-table"
 
     def __init__(self, values: Sequence[complex]):
         self._values = np.asarray(list(values), dtype=complex)
@@ -121,8 +115,6 @@ class TableProvider(CoefficientProvider):
 class VerticalShiftProvider(CoefficientProvider):
     """Coefficients of F(s + delta): a_n -> a_n n^{-delta}."""
 
-    kind = "vertical-shift"
-
     def __init__(self, base: CoefficientProvider, delta: float):
         self.base = base
         self.delta = float(delta)
@@ -130,7 +122,9 @@ class VerticalShiftProvider(CoefficientProvider):
         self.mag_bound = (K, c - self.delta)
 
     def coefficient(self, n: int) -> complex:
-        return self.base.coefficient(n) * float(n) ** (-self.delta)
+        # the array power of bulk: a scalar power rounds differently
+        return self.base.coefficient(n) * (np.array([n], dtype=float)
+                                           ** (-self.delta))[0]
 
     def bulk(self, N: int) -> CoefficientTable:
         N = _guard_bulk(N)
@@ -142,8 +136,6 @@ class VerticalShiftProvider(CoefficientProvider):
 class ArgumentScaleProvider(CoefficientProvider):
     """Coefficients of F(k s - delta): support moves to k-th powers,
     b_{m^k} = a_m m^{delta}, zero elsewhere."""
-
-    kind = "argument-scaled"
 
     def __init__(self, base: CoefficientProvider, k: int, delta: float):
         if int(k) < 2:
@@ -188,8 +180,6 @@ class DirichletConvolutionProvider(CoefficientProvider):
     O(N log N) numpy work.  The split depends only on n, so bulk(M) is the
     first M values of bulk(N).
     """
-
-    kind = "convolution"
 
     def __init__(self, p1: CoefficientProvider, p2: CoefficientProvider):
         self.p1 = p1
@@ -260,7 +250,6 @@ def tau_integers(N: int) -> List[int]:
 class RamanujanTauProvider(CoefficientProvider):
     """Normalized a_n = tau(n) / n^{11/2}, from the exact tau integers."""
 
-    kind = "preset"
     mag_bound = (2.0, 0.5)  # |a_n| <= d(n) <= 2 sqrt(n)
 
     def __init__(self):

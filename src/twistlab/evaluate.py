@@ -8,7 +8,6 @@ SmoothedLineEvaluator is the one implementation of the series and of both
 corrections, for any abscissa sigma and many t at once: it removes the pole
 terms (from the declared Laurent data) and the k = 1, 2 residues (through the
 functional equation).  smoothed_value is its one-point case.
-corrections=False gives the raw smoothed object instead.
 
 `tail_bound` certifies only the truncation of each series.  It does not
 cover the contour remainder past k = 2, which can be far larger: at
@@ -73,11 +72,21 @@ def _truncation_count(K: float, c: float, x: float, X: float, p: float,
     a = (c - x + 1.0) / p
 
     def bound(N: float) -> float:
-        w = (N / X) ** p
+        # integrand must be decreasing at N
+        if c > x and N < X * ((c - x) / p) ** (1.0 / p):
+            return math.inf
+        try:
+            w = (N / X) ** p
+        except OverflowError:
+            raise ValueError(f"smoothing exponent p={p} overflows (N/X)^p "
+                             f"at N={N:g}, X={X:g}") from None
         if a > 1.0:
             if w < 2.0 * (a - 1.0) + 2.0:
                 return math.inf
             factor, wexp = 2.0, a - 1.0
+        elif w == 0.0:
+            raise ValueError(f"smoothing exponent p={p} underflows (N/X)^p "
+                             f"at N={N:g}, X={X:g}")
         elif a < 0.0:
             # Gamma(a,w) <= e^{-w} min(w^{a-1}, w^a / -a)
             if math.log(w) * (a - 1.0) > math.log(w) * a - math.log(-a):
@@ -86,9 +95,6 @@ def _truncation_count(K: float, c: float, x: float, X: float, p: float,
                 factor, wexp = 1.0, a - 1.0
         else:
             factor, wexp = 1.0, a - 1.0
-        # integrand must be decreasing at N
-        if c > x and N < X * ((c - x) / p) ** (1.0 / p):
-            return math.inf
         logb = (math.log(factor * K / p) + (c - x + 1.0) * math.log(X)
                 + wexp * math.log(w) - w)
         return math.exp(logb) if logb < 700 else math.inf
@@ -126,13 +132,11 @@ def _check_pole_proximity(L: LSeriesInstance, s: complex) -> None:
                             f"at {pole.location}")
 
 
-def smoothed_value(L: LSeriesInstance, z: complex, t: float, sp: SmoothingParams,
-                   corrections: bool = True) -> SmoothedEvaluation:
+def smoothed_value(L: LSeriesInstance, z: complex, t: float,
+                   sp: SmoothingParams) -> SmoothedEvaluation:
     """Smoothed evaluation of F(z + it): the one-point case of
     SmoothedLineEvaluator at sigma = Re(z + it), with X = sp.X or, when that
-    is unset, default_cutoff(t, d).
-
-    With corrections enabled (default), declared pole terms and the leading
+    is unset, default_cutoff(t, d).  Declared pole terms and the leading
     contour residues are removed, so the value approximates F itself rather
     than the bare smoothed object.
     """
@@ -140,7 +144,7 @@ def smoothed_value(L: LSeriesInstance, z: complex, t: float, sp: SmoothingParams
     _check_pole_proximity(L, s)
     if sp.X is None:
         sp = sp.with_X(default_cutoff(t, L.invariants().d))
-    line = SmoothedLineEvaluator(L, sp, corrections, sigma=s.real)
+    line = SmoothedLineEvaluator(L, sp, sigma=s.real)
     value = complex(line.values(np.array([s.imag]))[0])
     return SmoothedEvaluation(value=value, terms_used=line.terms,
                               tail_bound=line.tail)
@@ -218,13 +222,13 @@ class SmoothedLineEvaluator:
     precomputed tables.
 
     The weighted series is truncated at the smallest N (`terms`) whose
-    certified tail bound drops below sp.epsilon.  With corrections enabled
-    (default), every declared pole term is removed, and so are the contour
-    residues (-1)^k/k! F(s - kp) X^{-kp}, k = 1, 2, each computed through the
-    functional equation from the conjugated series at 1 - s + kp.  A residue
-    is applied at those t with |t| >= 2 whose reflected point 1 - s + kp
-    keeps 0.25 away from every conjugated pole.  `tail` bounds the
-    truncation error of the series plus that of every residue series.
+    certified tail bound drops below sp.epsilon.  Every declared pole term
+    is removed, and so are the contour residues (-1)^k/k! F(s - kp) X^{-kp},
+    k = 1, 2, each computed through the functional equation from the
+    conjugated series at 1 - s + kp.  A residue is applied at those t with
+    |t| >= 2 whose reflected point 1 - s + kp keeps 0.25 away from every
+    conjugated pole.  `tail` bounds the truncation error of the series plus
+    that of every residue series.
 
     `values` sums every series by Taylor blocks: centres `spacing` apart,
     so that |t - m| |ln n - lambda| <= 2 with lambda = ln(width)/2, and the
@@ -234,12 +238,11 @@ class SmoothedLineEvaluator:
     """
 
     def __init__(self, L: LSeriesInstance, sp: SmoothingParams,
-                 corrections: bool = True, sigma: float = 0.5):
+                 sigma: float = 0.5):
         if sp.X is None:
             raise ValueError("line evaluator needs an explicit X")
         self.L = L
         self.sp = sp
-        self.corrections = corrections
         self.sigma = sigma
         self.X = X = sp.X
         K, c = L.coefficients.mag_bound
@@ -247,24 +250,22 @@ class SmoothedLineEvaluator:
         # (abscissa, length) of the main series, then of each residue series
         series = [(sigma, self.terms)]
         x_k, const_k = [], []
-        self._poles = []
-        if corrections:
-            self._poles = [pole for pole in L.fe.poles if pole.leading]
-            if any(pole.order > 2 for pole in self._poles):
-                raise NotImplementedError("pole corrections cover orders 1 and 2")
-            for k in range(1, _K_TERMS + 1):
-                weight = X ** (-k * sp.p) / math.factorial(k)
-                if weight < 1e-300:
-                    break
-                # the term only needs enough relative accuracy to matter at `weight`
-                eps_k = min(1e-4, max(sp.epsilon, sp.epsilon / (10.0 * weight)))
-                x = sigma - k * sp.p
-                N_k, _ = _truncation_count(K, c, 1.0 - x, X, sp.p, eps_k)
-                self.tail += eps_k * weight
-                series.append((1.0 - x, N_k))
-                x_k.append(x)
-                const_k.append((-1) ** k * weight * L.fe.omega
-                               * L.fe.Q ** (1.0 - 2.0 * x))
+        self._poles = [pole for pole in L.fe.poles if pole.leading]
+        if any(pole.order > 2 for pole in self._poles):
+            raise NotImplementedError("pole corrections cover orders 1 and 2")
+        for k in range(1, _K_TERMS + 1):
+            weight = X ** (-k * sp.p) / math.factorial(k)
+            if weight < 1e-300:
+                break
+            # the term only needs enough relative accuracy to matter at `weight`
+            eps_k = min(1e-4, max(sp.epsilon, sp.epsilon / (10.0 * weight)))
+            x = sigma - k * sp.p
+            N_k, _ = _truncation_count(K, c, 1.0 - x, X, sp.p, eps_k)
+            self.tail += eps_k * weight
+            series.append((1.0 - x, N_k))
+            x_k.append(x)
+            const_k.append((-1) ** k * weight * L.fe.omega
+                           * L.fe.Q ** (1.0 - 2.0 * x))
         self._x_k = np.array(x_k)[:, None]
         self._const_k = np.array(const_k, dtype=complex)[:, None]
         self.width = width = max(N for _, N in series)
@@ -287,8 +288,6 @@ class SmoothedLineEvaluator:
     def values(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         sums = self._series_sums(t)
-        if not self.corrections:
-            return sums[0]
         return sums[0] - self._corrections(t, np.conj(sums[1:]))
 
     def _series_sums(self, t: np.ndarray) -> np.ndarray:

@@ -142,15 +142,6 @@ def log_gamma(z) -> complex:
     return complex(_log_gamma_vec(z))
 
 
-def digamma(z) -> complex:
-    """psi(z) = Gamma'(z)/Gamma(z), same branch/shift strategy as log_gamma.
-
-    Raises PoleError at the non-positive integers."""
-    z = np.asarray(z, dtype=complex)
-    _check_poles(z)
-    return complex(_digamma_vec(z))
-
-
 @dataclass(frozen=True)
 class GammaRatioResult:
     """Exact and asymptotic values of the ratio Gt(1-x-it)/G(x+it)."""
@@ -177,24 +168,13 @@ def _ratio_args(spec: GammaFactorSpec, x, t):
             np.array(signs).reshape((-1,) + (1,) * s.ndim))
 
 
-def _ratio_log_exact(spec: GammaFactorSpec, x, t) -> np.ndarray:
-    """log of Gt(1-x-it)/G(x+it), broadcast over x and t, from one log Gamma
-    call."""
-    args, signs = _ratio_args(spec, x, t)
-    return np.sum(signs * _log_gamma_vec(args), axis=0)
-
-
-def gamma_ratio_exact(spec: GammaFactorSpec, x: float, t: float) -> complex:
-    """Exact ratio Gt(1-x-it)/G(x+it) via log-gamma sums, one exponentiation."""
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    _check_poles(_ratio_args(spec, x, t)[0])
-    return complex(np.exp(_ratio_log_exact(spec, x, t)))
-
-
 def gamma_ratio_exact_grid(spec: GammaFactorSpec, x: float, t) -> np.ndarray:
-    """Vectorized exact ratio over an array of t > 0."""
-    return np.exp(_ratio_log_exact(spec, x, t))
+    """Exact ratio Gt(1-x-it)/G(x+it) over an array of t: the log-gamma sum
+    from one log Gamma call, exponentiated once.  Raises PoleError if any
+    Gamma argument is a pole."""
+    args, signs = _ratio_args(spec, x, t)
+    _check_poles(args)
+    return np.exp(np.sum(signs * _log_gamma_vec(args), axis=0))
 
 
 def sector_threshold(spec: GammaFactorSpec) -> float:
@@ -227,8 +207,12 @@ def gamma_ratio_asymptotic(spec: GammaFactorSpec, x: float, t: float) -> complex
 
 
 def gamma_ratio_compare(spec: GammaFactorSpec, x: float, t: float) -> GammaRatioResult:
-    """Exact and asymptotic ratio side by side, with their relative error."""
-    exact = gamma_ratio_exact(spec, x, t)
+    """Exact and asymptotic ratio side by side, with their relative error.
+    Refuses t <= 0 (ValueError), then a Gamma pole (PoleError), then a t
+    below the sector threshold (SectorError)."""
+    if not t > 0.0:
+        raise ValueError("t must be positive")
+    exact = complex(gamma_ratio_exact_grid(spec, x, t))
     asym = gamma_ratio_asymptotic(spec, x, t)
     rel = abs(exact - asym) / abs(asym) if asym != 0 else math.inf
     return GammaRatioResult(exact=exact, asymptotic=asym, relative_error=rel)

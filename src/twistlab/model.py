@@ -124,8 +124,8 @@ class SmoothingParams:
     X: Optional[float] = None
 
     def __post_init__(self):
-        if not self.p > 0.5:
-            raise ValueError("need p > 1/2")
+        if not (math.isfinite(self.p) and self.p > 0.5):
+            raise ValueError(f"p must be finite and > 1/2, got {self.p}")
         # X = T^{d+rho} must exceed the (t/2pi)^d that K_T reaches
         if not (math.isfinite(self.rho) and self.rho > 0.0):
             raise ValueError(f"rho must be finite and > 0, got {self.rho}")

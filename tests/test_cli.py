@@ -5,9 +5,37 @@ from pathlib import Path
 import pytest
 
 from twistlab.cli import UsageError, main, parse_grid, parse_int_range
-from twistlab.presets import PRESET_NAMES, get_preset, load_instance
+from twistlab.errors import PoleError, SectorError
+from twistlab.gammafn import gamma_ratio_compare
+from twistlab.presets import (PRESET_NAMES, get_preset, instance_from_config,
+                              load_instance)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _preset_config(name, Q, lam, mu, sigma_a, poles=()):
+    """An inline config that restates one preset field for field."""
+    return {"name": name, "lambda": lam, "mu": [[m, 0.0] for m in mu],
+            "lambda_prime": [], "mu_prime": [], "Q": Q, "omega": [1.0, 0.0],
+            "sigma_a": sigma_a,
+            "poles": [{"location": [loc, 0.0], "order": len(lead),
+                       "leading": [[c, 0.0] for c in lead]} for loc, lead in poles],
+            "coefficients": {"kind": "preset", "name": name}}
+
+
+PRESET_CONFIGS = {c["name"]: c for c in [
+    _preset_config("zeta", 0.5641895835477563, [0.5], [0.0], 1.0, [(1.0, [1.0])]),
+    _preset_config("zeta-doubled", 0.7978845608028654, [0.25, 0.25], [0.0, 0.5],
+                   1.0, [(1.0, [1.0])]),
+    _preset_config("dirichlet-chi4", 1.1283791670955126, [0.5], [0.5], 1.0),
+    _preset_config("zeta-sq", 0.3183098861837907, [0.5, 0.5], [0.0, 0.0], 1.0,
+                   [(1.0, [1.0, 1.1544313298030657])]),
+    _preset_config("zeta-shift-pair", 0.3183098861837907, [0.5, 0.5], [0.25, -0.25],
+                   1.5, [(0.5, [-0.5]), (1.5, [1.6449340668482264])]),
+    _preset_config("zeta-scaled", 0.3183098861837907, [1.0], [-0.25], 0.75,
+                   [(0.75, [0.5])]),
+    _preset_config("delta", 0.15915494309189535, [1.0], [5.5], 1.0),
+]}
 
 
 def run(capsys, *argv):
@@ -87,13 +115,39 @@ class TestExitCodes:
         ["twist-scan", "--preset", "zeta", "--T-grid", "2^5:2^8", "--alpha", "-3"],
         ["twist-scan", "--preset", "zeta", "--T-grid", "2^5:2^8", "--alpha", "0"],
         ["twist-scan", "--preset", "zeta", "--T-grid", "2^5:2^8", "--alpha", "inf"],
+        ["eval", "--preset", "zeta", "--sigma", "0.5", "--t", "10", "--p", "inf"],
+        ["transform", "--preset", "zeta", "--T-grid", "20", "--p", "1e9"],
     ], ids=["bulk-0", "n-0", "X-negative", "epsilon-1", "short-grid",
             "rho-negative", "rho-nan", "rho-0", "alpha-nan", "alpha-negative",
-            "alpha-0", "alpha-inf"])
+            "alpha-0", "alpha-inf", "p-inf", "p-1e9"])
     def test_usage_out_of_range(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("usage error: ")
+
+    # gamma_ratio_compare refuses t <= 0, then a Gamma pole, then a t below
+    # the sector threshold; the pole spec's threshold is 4, delta's 13
+    @pytest.mark.parametrize("config, t, error, exit_code", [
+        ("delta", 0.0, ValueError, 1),
+        ("delta", -3.0, ValueError, 1),
+        ({"name": "pole", "lambda": [1.0], "mu": [[0.0, -1.0]], "Q": 1.0,
+          "omega": [1.0, 0.0], "sigma_a": 1.0, "coefficients": {"kind": "ones"}},
+         1.0, PoleError, 2),
+        ("delta", 5.0, SectorError, 2),
+    ], ids=["t-0", "t-negative", "pole-before-sector", "sector"])
+    def test_gamma_check_refusal_order(self, capsys, tmp_path, config, t, error,
+                                       exit_code):
+        if isinstance(config, str):
+            L, instance = get_preset(config), ["--preset", config]
+        else:
+            path = tmp_path / "pole.json"
+            path.write_text(json.dumps(config))
+            L, instance = load_instance(str(path)), ["--config", str(path)]
+        with pytest.raises(error):
+            gamma_ratio_compare(L.fe.gamma, 2.0, t)
+        code, _, _ = run(capsys, "gamma-check", *instance, "--x", "2.0",
+                         "--t-grid", str(t))
+        assert code == exit_code
 
     def test_computation_error_pole(self, capsys):
         code, _, err = run(capsys, "eval", "--preset", "zeta",
@@ -123,7 +177,7 @@ class TestExitCodes:
 
     def test_preset_and_config_exclusive(self, capsys):
         code, _, err = run(capsys, "describe", "--preset", "zeta",
-                           "--config", str(CONFIGS / "delta.json"))
+                           "--config", str(CONFIGS / "custom-example.json"))
         assert code == 1
         assert err.startswith("usage error: ")
 
@@ -195,8 +249,13 @@ class TestOutputs:
 
 
 class TestCustomConfig:
-    def test_roundtrip_preset_config(self, capsys):
-        path = CONFIGS / "zeta-shift-pair.json"
+    def test_roundtrip_preset_config(self, capsys, tmp_path):
+        path = tmp_path / "zeta-shift-pair.json"
+        path.write_text(json.dumps({
+            "name": "zeta-shift-pair", "lambda": [0.5, 0.5],
+            "mu": [[0.25, 0.0], [-0.25, 0.0]], "Q": 0.3183098861837907,
+            "omega": [1.0, 0.0], "sigma_a": 1.5,
+            "coefficients": {"kind": "preset", "name": "zeta-shift-pair"}}))
         code, out, _ = run(capsys, "describe", "--config", str(path))
         assert code == 0
         assert "d=2.0" in out
@@ -207,7 +266,7 @@ class TestCustomConfig:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_shipped_config_matches_preset(self, name):
         # the parsed instance, poles and Laurent data included, is the preset
-        got = load_instance(str(CONFIGS / f"{name}.json"))
+        got = instance_from_config(PRESET_CONFIGS[name])
         want = get_preset(name)
         assert got.name == want.name
         assert got.fe == want.fe

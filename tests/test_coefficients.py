@@ -115,6 +115,17 @@ class TestBulkPointwiseAgreement:
         for n in idx:
             assert table[n - 1] == prov.coefficient(n), f"{name} n={n}"
 
+    @pytest.mark.parametrize("prov", [
+        VerticalShiftProvider(OnesProvider(), 0.5),
+        VerticalShiftProvider(OnesProvider(), -0.5),
+        get_preset("zeta-shift-pair").coefficients,
+    ], ids=["shift+0.5", "shift-0.5", "zeta-shift-pair"])
+    def test_vertical_shift_every_n(self, prov):
+        # a scalar power n ** -delta rounds differently from bulk's array
+        # power at 574 of these n for delta = 1/2
+        table = prov.bulk(10 ** 4).values
+        assert table.tolist() == [prov.coefficient(n) for n in range(1, 10 ** 4 + 1)]
+
     def test_delta_agreement(self):
         prov = get_preset("delta").coefficients
         table = prov.bulk(2000).values
@@ -207,10 +218,8 @@ class TestHyperbolaSweep:
 
     @pytest.mark.parametrize("swap", [False, True], ids=["chi4-first", "chi4-second"])
     def test_unequal_factors_pointwise(self, swap):
-        # the n^{-1/2} values come from a table: VerticalShiftProvider's own
-        # pointwise power can differ from its bulk power in the last bit
         p1 = PeriodicProvider((1.0, 0.0, -1.0, 0.0))
-        p2 = TableProvider(VerticalShiftProvider(OnesProvider(), 0.5).bulk(200).values)
+        p2 = VerticalShiftProvider(OnesProvider(), 0.5)
         if swap:
             p1, p2 = p2, p1
         conv = DirichletConvolutionProvider(p1, p2)

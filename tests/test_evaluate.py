@@ -48,9 +48,14 @@ def dense_line_values(ev, t):
     phases = np.exp(-1j * np.outer(t, ev._lnn))
     sums = np.array([phases[:, :coef.size] @ coef for coef in ev._coefs])
     sums = sums.reshape(len(ev._coefs), t.size)
-    if not ev.corrections:
-        return sums[0]
     return sums[0] - ev._corrections(t, np.conj(sums[1:]))
+
+
+def main_series_value(L, sigma, t, sp):
+    """The raw smoothed series at sigma + it, before the pole terms and
+    residues are removed: the evaluator's main-series row."""
+    ev = SmoothedLineEvaluator(L, sp, sigma=sigma)
+    return complex(ev._series_sums(np.array([t]))[0, 0])
 
 
 def panel_nodes_of_K_T(name, T):
@@ -135,6 +140,12 @@ class TestSmoothedValue:
         ev = smoothed_value(L, 2.0, 0.0, SmoothingParams(X=1e3))
         assert abs(ev.value - math.pi ** 2 / 6) < 1e-6
 
+    # (N/X)^p leaves the float range at the first N the truncation rule tries
+    @pytest.mark.parametrize("X, what", [(1e3, "underflows"), (10.0, "overflows")])
+    def test_truncation_refuses_extreme_p(self, X, what):
+        with pytest.raises(ValueError, match=rf"p=1000000000.0 {what} .* X={X:g}$"):
+            smoothed_value(get_preset("zeta"), 0.5, 30.0, SmoothingParams(p=1e9, X=X))
+
     @pytest.mark.parametrize("name, sigma, t", ORACLE_ROWS)
     def test_matches_oracle_on_critical_line(self, name, sigma, t, sp4):
         ev = smoothed_value(get_preset(name), sigma, t, sp4)
@@ -176,10 +187,11 @@ class TestSmoothedValue:
         assert abs(a.value - b.value) <= a.tail_bound
 
     def test_x_doubling_cauchy_raw(self):
-        # without corrections, successive X-doublings decay geometrically
+        # without corrections (the main-series row), successive X-doublings
+        # decay geometrically
         L = get_preset("zeta")
-        vals = [smoothed_value(L, 0.5, 30.0, SmoothingParams(X=1000.0 * 2 ** j),
-                               corrections=False).value for j in range(5)]
+        vals = [main_series_value(L, 0.5, 30.0, SmoothingParams(X=1000.0 * 2 ** j))
+                for j in range(5)]
         diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
         for d1, d2 in zip(diffs, diffs[1:]):
             assert d2 <= 0.5 * d1
@@ -199,7 +211,7 @@ class TestConjugateEvaluator:
         # conj(F(1 - conj(z) + it)); direct summation oracle (raw series)
         L = get_preset("dirichlet-chi4")
         z = 0.5
-        got = smoothed_value(L, 1.0 - z, 20.0, sp4, corrections=False).value.conjugate()
+        got = main_series_value(L, 1.0 - z, 20.0, sp4).conjugate()
         n = np.arange(1, 60001, dtype=float)
         chi = np.zeros(60000)
         chi[0::4] = 1.0   # n = 1 mod 4

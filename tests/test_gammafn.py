@@ -11,7 +11,7 @@ import pytest
 
 from twistlab.errors import PoleError, SectorError
 from twistlab.gammafn import (_digamma_vec, gamma_ratio_asymptotic,
-                              gamma_ratio_compare, gamma_ratio_exact, digamma,
+                              gamma_ratio_compare, gamma_ratio_exact_grid,
                               log_gamma, sector_threshold)
 from twistlab.model import GammaFactorSpec
 from twistlab.presets import get_preset
@@ -73,27 +73,27 @@ class TestLogGamma:
         for z in (3.5 + 2j, 0.25 + 10j, -1.2 + 0.7j):
             h = 1e-6
             approx = (log_gamma(z + h) - log_gamma(z - h)) / (2 * h)
-            assert abs(digamma(z) - approx) < 1e-7
+            assert abs(_digamma_vec(z) - approx) < 1e-7
 
     def test_digamma_vector_matches_scalar(self):
-        # one array shares a common shift; each scalar call picks its own
+        # one array shares a common shift; each 0-d call picks its own
         z = np.array([3.5 + 2j, 0.25 + 10j, -1.2 + 0.7j, 0.1 - 30j,
                       -5.5 + 0.01j, 0.4, -0.3 - 200j, 100 + 1000j, 7.0])
         for zi, v in zip(z, _digamma_vec(z)):
-            want = digamma(zi)
+            want = _digamma_vec(zi)
             assert abs(v - want) <= 1e-14 * abs(want), zi
 
 
 class TestGammaRatio:
     def test_empty_spec_is_one(self):
         spec = GammaFactorSpec((), ())
-        assert gamma_ratio_exact(spec, 0.6, 10.0) == pytest.approx(1.0)
+        assert gamma_ratio_exact_grid(spec, 0.6, 10.0) == pytest.approx(1.0)
 
     def test_unit_modulus_on_critical_line_exact(self):
         for name in ("zeta", "delta", "zeta-shift-pair"):
             spec = get_preset(name).fe.gamma
             for t in (30.0, 150.0):
-                assert abs(abs(gamma_ratio_exact(spec, 0.5, t)) - 1.0) < 1e-12
+                assert abs(abs(gamma_ratio_exact_grid(spec, 0.5, t)) - 1.0) < 1e-12
 
     def test_unit_modulus_on_critical_line_asymptotic(self):
         for name in ("zeta", "delta", "zeta-shift-pair"):
@@ -115,7 +115,7 @@ class TestGammaRatio:
         # exact ratio: the error stalls at O(1) instead of O(1/t)
         spec = get_preset("zeta").fe.gamma
         t = 400.0
-        exact = gamma_ratio_exact(spec, 0.5, t)
+        exact = gamma_ratio_exact_grid(spec, 0.5, t)
         good = gamma_ratio_asymptotic(spec, 0.5, t)
         flipped = good * cmath.exp(-2j * math.pi / 4)  # e^{-iB} vs e^{+iB}
         assert abs(exact - good) / abs(good) < 1e-3
@@ -127,7 +127,7 @@ class TestGammaRatio:
             spec = get_preset(name).fe.gamma
             d = 2.0 * sum(l for l, _ in spec.numerator)
             for t in DOUBLING_GRID:
-                got = abs(gamma_ratio_exact(spec, 0.6, t))
+                got = abs(gamma_ratio_exact_grid(spec, 0.6, t))
                 assert got <= K * (1.0 + t) ** (-d * 0.1)
 
     def test_sector_threshold_enforced(self):
@@ -155,4 +155,4 @@ class TestGammaRatio:
         # Im(mu) = -lambda t makes the reflected argument real: -1 at x=2
         spec = GammaFactorSpec(((1.0, -1j),))
         with pytest.raises(PoleError):
-            gamma_ratio_exact(spec, 2.0, 1.0)
+            gamma_ratio_exact_grid(spec, 2.0, 1.0)

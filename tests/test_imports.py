@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name in the library and the tests is used."""
+"""Source hygiene: every imported name in the library and the tests is used,
+and every name the package exports has a caller outside the tests."""
 import ast
 from pathlib import Path
 
@@ -42,3 +43,26 @@ def test_no_unused_imports(path):
              for line, name in unused_imports(path.read_text())
              if (path.name, name) not in EXEMPT]
     assert not found, "unused imports: " + ", ".join(found)
+
+
+#: Exports only the tests call: the quadrature check of kappa's J_m closed form.
+EXPORT_EXEMPT = {"J_n_quadrature", "J_m_closed_form"}
+
+
+def referenced_names(source: str):
+    """Every name the module reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_export_has_a_caller():
+    package = ROOT / "src" / "twistlab"
+    exported = {alias.asname or alias.name
+                for node in ast.parse((package / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    callers = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    callers += sorted((ROOT / "perfbench").glob("*.py"))
+    used = set().union(*(referenced_names(p.read_text()) for p in callers))
+    orphans = sorted(exported - used - EXPORT_EXEMPT)
+    assert not orphans, "exports no module calls: " + ", ".join(orphans)

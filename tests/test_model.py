@@ -116,8 +116,9 @@ class TestValidation:
             PoleData(1.0, 2, (1.0,))  # wrong Laurent length
 
     def test_smoothing_params(self):
-        with pytest.raises(ValueError):
-            SmoothingParams(p=0.5)  # needs p > 1/2
+        for p in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="p must be finite and > 1/2"):
+                SmoothingParams(p=p)
         with pytest.raises(ValueError):
             SmoothingParams(epsilon=0.1)
         # rho <= 0 puts X = T^{d+rho} below the (t/2pi)^d that K_T needs
