@@ -48,10 +48,26 @@ class _Parser(argparse.ArgumentParser):
 # grids and formatting
 # ---------------------------------------------------------------------------
 
+def finite(text: str) -> float:
+    """A float that is neither nan nor infinite (an argparse type)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def parse_grid(text: str) -> List[float]:
     """Grid syntaxes: '2^a:2^b' dyadic, 'a:b:geomK' geometric with ratio K,
-    'a:b:n' linear with n points, or a single number."""
+    'a:b:n' linear with n points, or a single number.  Every number must be
+    finite."""
     text = text.strip()
+
+    def number(part: str) -> float:
+        value = float(part)
+        if not math.isfinite(value):
+            raise UsageError(f"grid {text!r} must be finite")
+        return value
+
     try:
         if text.startswith("2^"):
             lo_s, hi_s = text.split(":")
@@ -59,9 +75,9 @@ def parse_grid(text: str) -> List[float]:
             return [float(2 ** j) for j in range(lo, hi + 1)]
         parts = text.split(":")
         if len(parts) == 1:
-            return [float(parts[0])]
+            return [number(parts[0])]
         if len(parts) == 3 and parts[2].startswith("geom"):
-            a, b, ratio = float(parts[0]), float(parts[1]), float(parts[2][4:])
+            a, b, ratio = number(parts[0]), number(parts[1]), number(parts[2][4:])
             if not (ratio > 1.0 and a > 0 and b >= a):
                 raise ValueError
             out, v = [], a
@@ -70,11 +86,11 @@ def parse_grid(text: str) -> List[float]:
                 v *= ratio
             return out
         if len(parts) == 3:
-            a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+            a, b, n = number(parts[0]), number(parts[1]), int(parts[2])
             if n < 1:
                 raise ValueError
             return [float(v) for v in np.linspace(a, b, n)]
-    except (ValueError, IndexError):
+    except (ValueError, IndexError, OverflowError):
         pass
     raise UsageError(f"cannot parse grid {text!r}")
 
@@ -351,20 +367,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--bulk", type=int)
 
     p = command("eval", _cmd_eval, "smoothed evaluation of F(sigma + it)")
-    p.add_argument("--sigma", type=float, required=True)
+    p.add_argument("--sigma", type=finite, required=True)
     p.add_argument("--t", required=True, help="value or grid a:b:n")
     p.add_argument("--X", type=float)
     p.add_argument("--p", type=float)
     p.add_argument("--epsilon", type=float)
 
     p = command("gamma-check", _cmd_gamma_check, "exact vs asymptotic gamma ratio")
-    p.add_argument("--x", type=float, required=True)
+    p.add_argument("--x", type=finite, required=True)
     p.add_argument("--t-grid", dest="t_grid", required=True)
 
     p = command("osc", _cmd_osc, "resonance-kernel integrals I_n", preset=False)
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--T", type=float, required=True)
+    p.add_argument("--d", type=finite, required=True)
+    p.add_argument("--alpha", type=finite, required=True)
+    p.add_argument("--T", type=finite, required=True)
     p.add_argument("--n", required=True, help="N1:N2[:step]")
     p.add_argument("--mode", choices=("quad", "sp", "both"), default="both")
     p.add_argument("--tol", type=float, default=1e-4)

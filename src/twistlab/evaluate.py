@@ -282,8 +282,15 @@ class SmoothedLineEvaluator:
         # sum conj(a_n) w_n n^{-(1-x)+it} is the conjugate of
         # sum a_n w_n n^{-(1-x)-it}, so every series takes a prefix of one
         # phase block e^{-im ln n}.
-        self._coefs = [table[:N] * np.exp(-damp[:N] - x * self._lnn[:N])
-                       for x, N in series]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            self._coefs = [table[:N] * np.exp(-damp[:N] - x * self._lnn[:N])
+                           for x, N in series]
+        for (x, _), coefs in zip(series, self._coefs):
+            bad = np.flatnonzero(~np.isfinite(coefs))
+            if bad.size:
+                raise ValueError(
+                    f"weighted coefficients a_n e^(-(n/X)^p) n^(-sigma) at "
+                    f"sigma={x!r} are not finite, first at n={bad[0] + 1}")
 
     def values(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)

@@ -1,48 +1,144 @@
-"""Exact integer polynomial multiplication by Kronecker substitution.
+"""Exact integer polynomial multiplication by floating-point FFT on short limbs.
 
-Float FFTs cannot produce exact convolutions at the coefficient sizes the
-tau generator reaches (~1e30).  Each input is packed into one decimal
-integer, coefficient i in the k-digit slot at 10^{k i}, the two integers
-are multiplied once (libmpdec multiplies large operands by a
-number-theoretic transform), and the product's slots are read back as the
-coefficients.  k is wide enough that no product coefficient reaches
-10^k / 2 in absolute value, so the slots never overlap.
+Each input is split into L balanced signed limbs of B bits (|limb| <= 2^{B-1},
+v = sum_j limb_j 2^{B j}).  Every limb series is transformed once with
+numpy's rfft at M, the next power of two >= len(a) + len(b) - 1, so the
+cyclic product has no wrap-around.  For each limb degree s the spectral
+products with j + l = s are summed in place and one irfft gives
+sum_{j+l=s} a_j * b_l; those are integers of magnitude at most
+L min(len a, len b) 4^{B-1}, and rint recovers them when the FFT error is
+below 1/2.  The degrees are then folded, with a carry, into B-bit digits
+packed into int64 chunks, and the Python ints are built once at the end.
+
+B is the widest limb for which Percival's bound on the FFT round-off
+(C. Percival, Math. Comp. 72 (2003) 387-395, Thm. 5.1) stays below 1/4:
+
+    ||z' - z||_inf <= sum_{j+l=s} ||a_j||_2 ||b_l||_2
+                      * ((1+eps)^{3n} (1+eps sqrt5)^{3n+1} (1+beta)^{3n} - 1)
+
+with n = log2 M, ||a_j||_2 <= sqrt(len a) 2^{B-1}, and one extra (1+eps) per
+spectral addition.  The theorem is stated for a radix-2 transform; numpy's
+pocketfft orders its butterflies differently, so every call also checks
+that each output lies within 1/4 of an integer and raises ArithmeticError
+otherwise.  The result is exact, or the call fails loudly.
 """
 from __future__ import annotations
 
-from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
+import math
 from typing import List, Sequence
 
+import numpy as np
 
-def _pack(values: List[int], k: int) -> Decimal:
-    """sum_i values[i] 10^{k i} exactly; needs 2 max|v| < 10^k.  Each slot
-    is written shifted by max|v|, so the digit string is non-negative, and
-    the shift is subtracted from every slot at once."""
-    shift = max(map(abs, values))
-    digits = "".join([str(v + shift).zfill(k) for v in reversed(values)])
-    return Decimal(digits) - Decimal(str(shift).zfill(k) * len(values))
+_EPS = 2.0 ** -53   # unit round-off of a float64 operation
+_BETA = 2.0 ** -52  # error allowed in each of pocketfft's twiddle factors
+_MAX_WIDTH = 30     # widths past this never pass the bound (4^29 eps > 1)
+_CHUNK_BITS = 62    # int64 digit chunks keep a sign bit spare
+
+
+def _fft_error_factor(n: int, additions: int) -> float:
+    """Percival's relative error factor of a length-2^n FFT convolution,
+    with `additions` further roundings of the summed spectra."""
+    return math.expm1((3 * n + additions) * math.log1p(_EPS)
+                      + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5.0))
+                      + 3 * n * math.log1p(_BETA))
+
+
+def _limb_count(bits: int, width: int) -> int:
+    """Balanced width-bit limbs that represent every |v| < 2^bits (width >= 2).
+
+    With L limbs the offset H = 2^{width-1} (2^{width L} - 1)/(2^width - 1)
+    maps the signed range onto [0, 2^{width L}); width L >= bits + 2 covers
+    (-2^bits, 2^bits)."""
+    return -(-(bits + 2) // width)
+
+
+def limb_width(bits_a: int, bits_b: int, len_a: int, len_b: int,
+               size: int) -> int:
+    """Widest limb width B whose Percival bound at transform size `size`
+    stays below 1/4, for inputs with |a| < 2^bits_a and |b| < 2^bits_b."""
+    scale = math.sqrt(len_a * len_b)
+    for width in range(_MAX_WIDTH, 1, -1):
+        pairs = min(_limb_count(bits_a, width), _limb_count(bits_b, width))
+        factor = _fft_error_factor(size.bit_length() - 1, pairs - 1)
+        if pairs * scale * 4.0 ** (width - 1) * factor < 0.25:
+            return width
+    raise ArithmeticError(f"no limb width keeps an FFT of size {size} exact")
+
+
+def _int_array(values: Sequence[int]) -> np.ndarray:
+    """int64 when every value fits, else an object array of Python ints."""
+    if isinstance(values, np.ndarray) and not np.can_cast(values.dtype, np.int64):
+        values = values.tolist()
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([int(v) for v in values], dtype=object)
+
+
+def _limb_spectra(values: np.ndarray, bits: int, width: int, size: int):
+    """rfft of each balanced limb series of values, low limb first."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    spectra = []
+    for _ in range(_limb_count(bits, width)):
+        low = values & mask
+        up = low >= half
+        spectra.append(np.fft.rfft((low - (up << width)).astype(float), size))
+        values = (values >> width) + up  # (values - limb) / 2^width, no overflow
+    return spectra
 
 
 def conv_exact(a: Sequence[int], b: Sequence[int], out_len: int) -> List[int]:
     """Exact (signed) integer convolution of a and b, first out_len coeffs."""
-    a = list(map(int, a[:out_len]))
-    b = list(map(int, b[:out_len]))
-    if not a or not b:
+    same = b is a
+    a = _int_array(a[:out_len])
+    b = a if same else _int_array(b[:out_len])
+    if not len(a) or not len(b):
         return [0] * out_len
-    bound = (2 * max(1, max(map(abs, a))) * max(1, max(map(abs, b)))
-             * min(len(a), len(b)))
-    k = len(str(bound))  # smallest k with bound < 10^k
-    half = 10 ** k // 2
-    slots = len(a) + len(b) - 1
-    with localcontext() as ctx:
-        ctx.prec = MAX_PREC
-        ctx.Emax = MAX_EMAX
-        packed = _pack(a, k)
-        product = packed * packed if a == b else packed * _pack(b, k)
-        # every slot of product + half * sum 10^{k j} lies in [0, 10^k)
-        digits = str(product + Decimal(str(half).zfill(k) * slots))
-    digits = digits.zfill(k * slots)
-    top = len(digits)
-    out = [int(digits[i - k : i]) - half
-           for i in range(top, top - k * min(out_len, slots), -k)]
-    return out + [0] * (out_len - len(out))
+    full = len(a) + len(b) - 1
+    size = 1 << (full - 1).bit_length()
+    keep = min(out_len, full)
+    bits_a = max(int(a.max()), -int(a.min())).bit_length()
+    bits_b = max(int(b.max()), -int(b.min())).bit_length()
+    width = limb_width(bits_a, bits_b, len(a), len(b), size)
+    spec_a = _limb_spectra(a, bits_a, width, size)
+    spec_b = spec_a if same else _limb_spectra(b, bits_b, width, size)
+
+    mask, per_chunk = (1 << width) - 1, _CHUNK_BITS // width
+    chunks: List[np.ndarray] = []
+    carry = np.zeros(keep, dtype=np.int64)
+    acc = np.empty_like(spec_a[0])
+    term = np.empty_like(acc)
+    degrees = len(spec_a) + len(spec_b) - 1
+    s = 0
+    while s < degrees or ((carry != 0) & (carry != -1)).any():
+        if s < degrees:  # sum_{j+l=s} a_j * b_l, rounded to integers
+            acc[:] = 0
+            for j in range(max(0, s - len(spec_b) + 1), min(s, len(spec_a) - 1) + 1):
+                np.multiply(spec_a[j], spec_b[s - j], out=term)
+                acc += term
+            x = np.fft.irfft(acc, size)[:keep]
+            r = np.rint(x)
+            worst = float(np.abs(x - r).max())
+            if worst >= 0.25:
+                raise ArithmeticError(
+                    f"FFT round-off {worst:.3g} >= 1/4 at limb width {width}")
+            carry += r.astype(np.int64)
+        digit = carry & mask
+        carry >>= width
+        q, pos = divmod(s, per_chunk)
+        if pos:
+            chunks[q] |= digit << (pos * width)
+        else:
+            chunks.append(digit)
+        s += 1
+    del spec_a, spec_b, acc, term
+    # carry is 0 or -1 (the sign): fold it into the top chunk, which becomes
+    # a signed int64, then build sum_q chunks[q] 2^{q width per_chunk}
+    out = chunks.pop()
+    out += carry << ((s - len(chunks) * per_chunk) * width)
+    if chunks:
+        out = out.astype(object)
+    while chunks:
+        out <<= width * per_chunk
+        out |= chunks.pop()
+    return out.tolist() + [0] * (out_len - keep)

@@ -117,13 +117,37 @@ class TestExitCodes:
         ["twist-scan", "--preset", "zeta", "--T-grid", "2^5:2^8", "--alpha", "inf"],
         ["eval", "--preset", "zeta", "--sigma", "0.5", "--t", "10", "--p", "inf"],
         ["transform", "--preset", "zeta", "--T-grid", "20", "--p", "1e9"],
+        ["certify", "--preset", "zeta", "--T-grid", "inf"],
+        ["twist-scan", "--preset", "zeta", "--T-grid", "inf"],
+        ["summatory", "--preset", "zeta", "--X-grid", "inf"],
+        ["transform", "--preset", "zeta", "--T-grid", "inf"],
+        ["transform", "--preset", "zeta", "--T-grid", "50:inf:geom2"],
+        ["eval", "--preset", "zeta", "--sigma", "0.5", "--t", "nan"],
+        ["eval", "--preset", "zeta", "--sigma", "0.5", "--t", "10:nan:3"],
+        ["eval", "--preset", "zeta", "--sigma", "nan", "--t", "10"],
+        ["eval", "--preset", "zeta", "--sigma=-inf", "--t", "10"],
+        ["gamma-check", "--preset", "zeta", "--x", "nan", "--t-grid", "20"],
+        ["osc", "--d", "1", "--alpha", "6.28", "--T", "inf", "--n", "1:3"],
     ], ids=["bulk-0", "n-0", "X-negative", "epsilon-1", "short-grid",
             "rho-negative", "rho-nan", "rho-0", "alpha-nan", "alpha-negative",
-            "alpha-0", "alpha-inf", "p-inf", "p-1e9"])
+            "alpha-0", "alpha-inf", "p-inf", "p-1e9", "certify-T-inf",
+            "twist-T-inf", "summatory-X-inf", "transform-T-inf",
+            "transform-geom-inf", "eval-t-nan", "eval-linear-nan",
+            "eval-sigma-nan", "eval-sigma-inf", "gamma-x-nan", "osc-T-inf"])
     def test_usage_out_of_range(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("usage error: ")
+        if any("inf" in v or "nan" in v for v in argv):
+            assert "must be finite" in err
+
+    def test_refuses_overflowing_coefficients(self, capsys):
+        code, out, err = run(capsys, "eval", "--preset", "zeta", "--sigma", "-300",
+                             "--t", "30", "--p", "200", "--X", "1000")
+        assert code == 1
+        assert out == ""
+        assert err == ("usage error: weighted coefficients a_n e^(-(n/X)^p) "
+                       "n^(-sigma) at sigma=-300.0 are not finite, first at n=11\n")
 
     # gamma_ratio_compare refuses t <= 0, then a Gamma pole, then a t below
     # the sector threshold; the pole spec's threshold is 4, delta's 13

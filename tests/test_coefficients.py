@@ -1,6 +1,7 @@
 """Coefficient-provider tests: presets, combinators, the exact tau table."""
 import math
 import random
+from fractions import Fraction
 import sys
 import threading
 import time
@@ -15,7 +16,8 @@ from twistlab.coefficients import (ArgumentScaleProvider,
                                    TableProvider, VerticalShiftProvider,
                                    tau_integers)
 from twistlab.errors import BudgetError
-from twistlab.exactconv import conv_exact
+from twistlab import exactconv
+from twistlab.exactconv import conv_exact, limb_width
 from twistlab.presets import PRESET_NAMES, get_preset
 
 ZETA_3_5 = 1.12673386731705665  # frozen high-precision value
@@ -271,6 +273,70 @@ class TestTau:
                 assert got == want, (len(x), len(y), out_len)
         assert conv_exact([], [1, 2], 3) == [0, 0, 0]
         assert conv_exact([1, 2], [3], 0) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-2 ** 70, 2 ** 70) | st.integers(-9, 9) | st.just(0),
+                    max_size=40),
+           st.lists(st.integers(-2 ** 70, 2 ** 70) | st.integers(-9, 9) | st.just(0),
+                    max_size=40),
+           st.integers(0, 90))
+    def test_conv_exact_property(self, x, y, out_len):
+        # signed, zero-heavy and past-2^63 inputs; out_len from 0 to beyond
+        # len(x) + len(y) - 1
+        want = schoolbook(x[:out_len], y[:out_len], out_len)
+        assert conv_exact(x, y, out_len) == want
+        assert conv_exact(x, x, out_len) == schoolbook(x[:out_len], x[:out_len], out_len)
+
+    def test_conv_exact_roundoff_guard(self, monkeypatch):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(exactconv.np.fft, "irfft",
+                            lambda *args, **kw: irfft(*args, **kw) + 0.3)
+        with pytest.raises(ArithmeticError, match="round-off"):
+            conv_exact([1, 2, 3], [4, 5], 4)
+
+    @pytest.mark.parametrize("bits", [(1, 1), (23, 23), (64, 64), (134, 64), (134, 134)])
+    def test_limb_width_keeps_percival_bound(self, bits):
+        # every transform size up to 2^25 (a 1e7 table squared), by exact
+        # rational arithmetic: pairs * ||a_j|| ||b_l|| * Percival's factor
+        # < 1/4 at the chosen width, and >= 1/4 one bit wider
+        eps, beta = Fraction(1, 2 ** 53), Fraction(1, 2 ** 52)
+        sqrt5 = Fraction(2236068, 10 ** 6)  # > sqrt(5)
+
+        def bound_sq(width, n, len_a, len_b):
+            pairs = min(-(-(b + 2) // width) for b in bits)
+            factor = ((1 + eps) ** (3 * n + pairs - 1) * (1 + eps * sqrt5) ** (3 * n + 1)
+                      * (1 + beta) ** (3 * n) - 1)
+            return (pairs * 4 ** (width - 1) * factor) ** 2 * len_a * len_b
+
+        for n in range(26):
+            size = 2 ** n
+            for len_a, len_b in {(size // 2 + 1, (size + 1) // 2), (1, size)}:
+                width = limb_width(*bits, len_a, len_b, size)
+                assert width >= 2
+                assert bound_sq(width, n, len_a, len_b) < Fraction(1, 16)
+                if width < 30:
+                    assert bound_sq(width + 1, n, len_a, len_b) >= Fraction(1, 16)
+
+    def test_hecke_relations(self):
+        # an oracle independent of the eta product: tau is multiplicative,
+        # tau(n) = tau(p^k) tau(n / p^k) for p^k || n, and on prime powers
+        # tau(p^{k+1}) = tau(p) tau(p^k) - p^11 tau(p^{k-1})
+        N = 10 ** 5
+        tau = tau_integers(N)
+        spf = list(range(N + 1))
+        for p in range(2, math.isqrt(N) + 1):
+            if spf[p] == p:
+                for m in range(p * p, N + 1, p):
+                    if spf[m] == m:
+                        spf[m] = p
+        for n in range(2, N + 1):
+            p, pk = spf[n], spf[n]
+            while n % (pk * p) == 0:
+                pk *= p
+            if pk != n:
+                assert tau[n] == tau[pk] * tau[n // pk], f"n={n}"
+            elif pk != p:
+                assert tau[n] == tau[p] * tau[n // p] - p ** 11 * tau[n // (p * p)], f"n={n}"
 
     def test_deligne_tripwire(self):
         N = 10 ** 5

@@ -267,6 +267,15 @@ class TestLineEvaluator:
         with pytest.raises(ValueError):
             SmoothedLineEvaluator(get_preset("zeta"), SmoothingParams())
 
+    def test_refuses_overflowing_coefficients(self):
+        # far left of the strip e^{-(n/X)^p} n^{300} overflows below X, where
+        # the weight is still ~1; the phase sums would be nan
+        sp = SmoothingParams(p=200.0, X=1000.0)
+        with pytest.raises(ValueError, match=r"sigma=-300\.0 .* n=11$"):
+            SmoothedLineEvaluator(get_preset("zeta"), sp, sigma=-300.0)
+        with pytest.raises(ValueError, match="not finite"):
+            smoothed_value(get_preset("zeta"), -300.0, 30.0, sp)
+
     @pytest.mark.parametrize("t_set", sorted(KERNEL_T_SETS))
     @pytest.mark.parametrize("sigma", [0.5, 0.6])
     @pytest.mark.parametrize("name", ["zeta", "zeta-sq", "dirichlet-chi4", "delta"])

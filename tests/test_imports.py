@@ -1,6 +1,8 @@
 """Source hygiene: every imported name in the library and the tests is used,
-and every name the package exports has a caller outside the tests."""
+the library imports nothing but numpy and the standard library, and every
+name the package exports has a caller outside the tests."""
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,6 +45,41 @@ def test_no_unused_imports(path):
              for line, name in unused_imports(path.read_text())
              if (path.name, name) not in EXEMPT]
     assert not found, "unused imports: " + ", ".join(found)
+
+
+#: The library's only runtime dependency besides the standard library.
+RUNTIME_DEPS = {"numpy"}
+
+
+def foreign_imports(source: str):
+    """(line, top-level module) of each absolute import outside numpy and the
+    standard library; relative imports stay inside the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name.split(".")[0]) for name in names
+                  if name.split(".")[0] not in RUNTIME_DEPS | sys.stdlib_module_names]
+    return found
+
+
+def test_checker_finds_foreign_imports():
+    source = ("from __future__ import annotations\nimport numpy as np\n"
+              "import scipy.special\nfrom mpmath import mp\nfrom . import errors\n"
+              "from .model import X\nimport os.path\n")
+    assert foreign_imports(source) == [(3, "scipy"), (4, "mpmath")]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "twistlab").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_library_imports_only_numpy_and_stdlib(path):
+    found = [f"{path.name}:{line}: {name}"
+             for line, name in foreign_imports(path.read_text())]
+    assert not found, "undeclared dependencies: " + ", ".join(found)
 
 
 #: Exports only the tests call: the quadrature check of kappa's J_m closed form.
