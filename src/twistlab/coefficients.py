@@ -265,7 +265,7 @@ class RamanujanTauProvider(CoefficientProvider):
         if len(table) < N:
             tau = tau_integers(N)
             n = np.arange(1, N + 1, dtype=float)
-            table = np.asarray([float(t) for t in tau[1:]]) / n ** 5.5
+            table = np.fromiter(tau[1:], dtype=np.float64, count=N) / n ** 5.5
             self._table = table
         return table
 

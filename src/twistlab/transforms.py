@@ -55,9 +55,6 @@ from .summation import compensated_sum
 KAPPA_CONVENTIONS = ("paper-printed", "oracle-calibrated")
 #: the transform routes, in the order reports and outputs list them
 ROUTES = ("direct", "sum", "fe")
-# integrate_oscillatory starts at half the quarter-period panel count and
-# doubles; at H_direct's tolerance it stops after that second level
-_EXPECTED_LEVELS = 2
 
 
 @dataclass(frozen=True)
@@ -99,9 +96,10 @@ def _require_transform_degree(L: LSeriesInstance) -> float:
 
 def _phase_estimate(line: SmoothedLineEvaluator, a: float, b: float) -> float:
     """Phase exponentials H_direct expects `line` to compute on [a, b]: one
-    per term and centre, with the centres `line.spacing` apart, on each of
-    _EXPECTED_LEVELS quadrature levels."""
-    return line.width * ((b - a) / line.spacing + 1.0) * _EXPECTED_LEVELS
+    per term and centre, with the centres `line.spacing` apart.  The line
+    keeps each centre's sums, so every quadrature level after the first
+    reuses them."""
+    return line.width * ((b - a) / line.spacing + 1.0)
 
 
 def H_direct(L: LSeriesInstance, alpha: float, T: float, sp: SmoothingParams,

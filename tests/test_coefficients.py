@@ -338,6 +338,17 @@ class TestTau:
             elif pk != p:
                 assert tau[n] == tau[p] * tau[n // p] - p ** 11 * tau[n // (p * p)], f"n={n}"
 
+    def test_normalized_table_rounds_each_integer(self):
+        # the provider turns the exact integers into floats in one
+        # np.fromiter call; past 2^63 each must still be float(tau(n))
+        N = 4096
+        tau = tau_integers(N)
+        assert max(abs(t) for t in tau) > 2 ** 63
+        n = np.arange(1, N + 1, dtype=float)
+        want = np.array([float(t) for t in tau[1:]]) / n ** 5.5
+        got = np.ascontiguousarray(RamanujanTauProvider().bulk(N).values.real)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_deligne_tripwire(self):
         N = 10 ** 5
         tau = tau_integers(N)

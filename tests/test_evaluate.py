@@ -4,6 +4,8 @@ zeta and beta reference values were computed ahead of the build with a
 25-digit arbitrary-precision library and frozen here.
 """
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from twistlab.errors import PoleError
 from twistlab.evaluate import (SmoothedLineEvaluator, fe_cross_check,
                                reference_zeta, smoothed_value)
+from twistlab.gammafn import _digamma_vec, _log_gamma_vec, _ratio_args
 from twistlab.model import SmoothingParams
 from twistlab.oscillatory import _panel_nodes
 from twistlab.presets import get_preset
@@ -51,6 +54,35 @@ def dense_line_values(ev, t):
     return sums[0] - ev._corrections(t, np.conj(sums[1:]))
 
 
+def direct_corrections(ev, t, ft):
+    """SmoothedLineEvaluator._corrections by one log Gamma and digamma call
+    per node, straight from the definition of the pole terms and residues;
+    also the sum of the terms' moduli, the scale of their rounding."""
+    p, lnX, fe = ev.sp.p, math.log(ev.X), ev.L.fe
+    value = np.zeros(t.size, dtype=complex)
+    scale = np.zeros(t.size)
+    for i, ti in enumerate(t):
+        s = ev.sigma + 1j * ti
+        terms = []
+        for pole in ev._poles:
+            w = (pole.location - s) / p
+            g = np.exp(_log_gamma_vec(w) + p * w * lnX) / p
+            if pole.order == 1:
+                terms.append(pole.leading[0] * g)
+            else:
+                terms.append(pole.leading[0] * g * (_digamma_vec(w) / p + lnX)
+                             + pole.leading[1] * g)
+        args, signs = _ratio_args(fe.gamma, ev._x_k[:, 0], ti)
+        applied = np.broadcast_to(ev._applied(np.array([ti])), ev._x_k.shape)[:, 0]
+        for k in np.flatnonzero(applied):
+            log_ratio = np.sum(signs[:, 0] * _log_gamma_vec(args[:, k]))
+            terms.append(ev._const_k[k, 0] * ft[k, i]
+                         * np.exp(log_ratio - 2j * ti * math.log(fe.Q)))
+        value[i] = sum(terms)
+        scale[i] = sum(abs(term) for term in terms)
+    return value, scale
+
+
 def main_series_value(L, sigma, t, sp):
     """The raw smoothed series at sigma + it, before the pole terms and
     residues are removed: the evaluator's main-series row."""
@@ -75,6 +107,9 @@ KERNEL_T_SETS = {
     "shuffled-wide": lambda name: np.random.default_rng(7).permutation(
         np.linspace(-500.0, 500.0, 1001)),
 }
+
+#: the set each kernel-oracle evaluator sees before the set under test
+SEEN_FIRST = np.linspace(27.3, 61.9, 50)
 
 
 @pytest.fixture
@@ -285,6 +320,9 @@ class TestLineEvaluator:
         # formula shares, up with |F| (~1e5 at this X)
         ev = SmoothedLineEvaluator(get_preset(name), SmoothingParams(X=1000.0),
                                    sigma=sigma)
+        # an evaluator that has already seen another set: the grid stays
+        # anchored there, and its cached centres are reused
+        ev.values(SEEN_FIRST)
         t = KERNEL_T_SETS[t_set](name)
         got = ev.values(t)
         want = dense_line_values(ev, t)
@@ -295,3 +333,151 @@ class TestLineEvaluator:
         ev = SmoothedLineEvaluator(get_preset("zeta-sq"), SmoothingParams(X=2000.0))
         ev.values(np.array([30.0]))
         assert ev.phase_evals == max(coef.size for coef in ev._coefs)
+
+    def test_level_two_forms_no_new_phase_rows(self):
+        # both quadrature levels of one interval share the centre grid
+        # anchored at the first node; each centre's phase row is formed once
+        ev = SmoothedLineEvaluator(get_preset("zeta"), SmoothingParams(X=2000.0))
+        a, b = 754.0, 1131.0
+        level1 = _panel_nodes(a, b, 64)[0]
+        level2 = _panel_nodes(a, b, 128)[0]
+        ev.values(level1)
+        first = ev.phase_evals
+        ev.values(level2)
+        nodes = np.concatenate([level1, level2])
+        centres = np.unique(np.rint((nodes - level1[0]) / ev.spacing)).size
+        assert ev.phase_evals == ev.width * centres
+        assert ev.phase_evals - first <= 2 * ev.width  # at most the two ends
+
+    def test_values_do_not_depend_on_call_history(self):
+        # a centre's tables do not depend on the call that formed them, so
+        # once the grid is anchored the same nodes give the same bits
+        # (forwards, one centre is formed alone; backwards, with all others;
+        # small-t correction tables need more Taylor rows than the others,
+        # and the last set steps both kinds in one call)
+        sets = [np.array([231.25, 231.3, 231.4]), np.array([5.1, 5.6, 6.3]),
+                np.array([5.35, 231.33])] + [
+            _panel_nodes(a, a + 60.0, n)[0] for a in (200.0, 230.0) for n in (24, 48)]
+        orders = [range(len(sets)), range(len(sets) - 1, -1, -1)]
+        orders += [[i] for i in range(len(sets))]  # each set on a fresh evaluator
+        results = {}
+        for order in orders:
+            ev = SmoothedLineEvaluator(get_preset("zeta-sq"), SmoothingParams(X=2000.0))
+            ev.values(np.array([199.0]))
+            for i in order:
+                results.setdefault(i, []).append(ev.values(sets[i]))
+        for i in range(len(sets)):
+            assert all(np.array_equal(results[i][0], got) for got in results[i][1:])
+
+    def test_shared_evaluator_is_thread_safe(self):
+        # threads share one evaluator and call it on interleaved level-1 and
+        # level-2 node sets (one set a lone centre); every result equals the
+        # serial result bit for bit
+        sets = [_panel_nodes(a, a + 50.0, n)[0]
+                for a in (300.0, 320.0, 345.0) for n in (20, 40)]
+        sets.append(np.array([331.2, 331.3]))
+        orders = ([6, 0, 1, 2, 3, 4, 5], [5, 2, 3, 0, 4, 1, 6], [1, 6, 4, 3, 0, 5, 2])
+        anchor = np.array([299.5])
+        serial = SmoothedLineEvaluator(get_preset("zeta"), SmoothingParams(X=3000.0))
+        serial.values(anchor)
+        want = [serial.values(t) for t in sets]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                shared = SmoothedLineEvaluator(get_preset("zeta"), SmoothingParams(X=3000.0))
+                shared.values(anchor)
+                failures, start = [], threading.Barrier(len(orders))
+
+                def run(order):
+                    start.wait(timeout=30.0)
+                    for i in order:
+                        try:
+                            got = shared.values(sets[i])
+                        except Exception as exc:
+                            failures.append(repr(exc))
+                            continue
+                        if not np.array_equal(got, want[i]):
+                            failures.append(f"set {i} differs")
+
+                threads = [threading.Thread(target=run, args=(order,)) for order in orders]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                assert not failures, failures
+        finally:
+            sys.setswitchinterval(interval)
+
+
+#: (preset, sigma, nodes, evaluator X): the correction-step cases
+CORRECTION_CASES = {
+    # degree 2, small |Im| of the Gamma arguments: the shift is active
+    "zeta-sq-shifted": ("zeta-sq", 0.5, np.linspace(2.0, 20.0, 181), 1000.0),
+    "delta-shifted": ("delta", 0.5, np.linspace(2.0, 20.0, 181), 1000.0),
+    # the pole-term argument (1 - sigma - it)/p has Re < 1/2 (reflected)
+    "zeta-reflected": ("zeta", 0.6, np.linspace(-40.0, 40.0, 321), 1000.0),
+    # nodes next to the pole term's Gamma pole at t = 0: uncertified steps
+    "zeta-near-pole": ("zeta", 0.5, np.linspace(-3.0, 3.0, 61), 1000.0),
+    "zeta-sq-order-2": ("zeta-sq", 0.6, np.linspace(5.0, 90.0, 341), 3000.0),
+    "chi4-no-pole": ("dirichlet-chi4", 0.5, np.linspace(2.5, 60.0, 231), 1000.0),
+}
+
+
+class TestCorrectionSteps:
+    @staticmethod
+    def evaluator(case):
+        name, sigma, t, X = CORRECTION_CASES[case]
+        return SmoothedLineEvaluator(get_preset(name), SmoothingParams(X=X), sigma=sigma), t
+
+    @pytest.mark.parametrize("case", sorted(CORRECTION_CASES))
+    def test_steps_match_per_node_log_gamma(self, case):
+        # every stepped table against its own log Gamma / digamma call per
+        # node; log Gamma is compared modulo 2 pi i, as only its exponential
+        # enters, and a residue only where it is applied
+        ev, t = self.evaluator(case)
+        got = ev._stepped_tables(t)
+        applied = np.broadcast_to(ev._applied(t), (ev._x_k.shape[0], t.size))
+        p = ev.sp.p
+        for i, ti in enumerate(t):
+            s = ev.sigma + 1j * ti
+            w = np.array([(pole.location - s) / p for pole in ev._poles])
+            args, signs = _ratio_args(ev.L.fe.gamma, ev._x_k[:, 0], ti)
+            rows = list(_log_gamma_vec(w)) + [_digamma_vec(w[j]) for j in ev._psi_poles]
+            rows += [np.sum(signs[:, 0] * _log_gamma_vec(args[:, k]))
+                     for k in range(ev._x_k.shape[0])]
+            n_log = len(ev._poles)
+            for row, want in enumerate(rows):
+                if row >= n_log + len(ev._psi_poles) and not applied[row - len(rows), i]:
+                    continue
+                diff = got[row, i] - want
+                if row < n_log or row >= n_log + len(ev._psi_poles):
+                    diff -= 2j * math.pi * round(diff.imag / (2 * math.pi))
+                assert abs(diff) <= 1e-13 * max(1.0, abs(want)), (row, ti)
+
+    @pytest.mark.parametrize("case", sorted(CORRECTION_CASES))
+    def test_corrections_match_per_node_definition(self, case):
+        # end to end: both routes exponentiate exponents up to |E| ~ 900,
+        # whose own rounding (|E| 2^-53 ~ 1e-13) sets the tolerance
+        ev, t = self.evaluator(case)
+        ft = np.random.default_rng(3).standard_normal((ev._x_k.shape[0], t.size)) * (1 + 1j)
+        got = ev._corrections(t, ft)
+        want, scale = direct_corrections(ev, t, ft)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    def test_cases_cover_shift_reflection_and_own_centres(self):
+        shifted = reflected = own = False
+        for case in CORRECTION_CASES:
+            ev, t = self.evaluator(case)
+            args = _ratio_args(ev.L.fe.gamma, ev._x_k, t)[0].ravel()
+            args = np.concatenate([args] + [(pole.location - ev.sigma - 1j * t) / ev.sp.p
+                                            for pole in ev._poles])
+            reduced = np.where(args.real < 0.5, 1 - args, args)
+            shifted |= bool(np.any(np.abs(reduced) < 16))
+            reflected |= bool(np.any(args.real < 0.5))
+            ev._stepped_tables(t)
+            (_, steps), column = ev._tables("corrections", ev._order,
+                                           np.rint((t - t[0]) / ev.spacing))
+            own |= bool(np.any(steps[column] == 0))
+        assert shifted and reflected and own

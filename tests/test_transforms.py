@@ -193,6 +193,30 @@ class TestRoutes:
         estimate = transforms._phase_estimate(line, 2 * alpha * T, 3 * alpha * T)
         assert 0.5 <= estimate / line.phase_evals <= 2.0
 
+    @pytest.mark.parametrize("name, T", [("zeta", 50.0), ("delta", 10.0)])
+    def test_each_centre_forms_one_phase_row(self, name, T, monkeypatch):
+        # every quadrature level snaps to the grid anchored at the first
+        # node, and a centre's phase row is formed on the first level only
+        lines, nodes = [], []
+
+        class Recording(transforms.SmoothedLineEvaluator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                lines.append(self)
+
+            def values(self, t):
+                nodes.append(np.asarray(t))
+                return super().values(t)
+
+        monkeypatch.setattr(transforms, "SmoothedLineEvaluator", Recording)
+        L = get_preset(name)
+        H_direct(L, L.resonance_alpha(1), T, SmoothingParams())
+        (line,) = lines
+        assert len(nodes) >= 2
+        t = np.concatenate(nodes)
+        centres = np.unique(np.rint((t - nodes[0][0]) / line.spacing)).size
+        assert line.phase_evals == line.width * centres
+
     def test_degree_below_one_rejected(self):
         cfg = {
             "name": "deg-half", "lambda": [0.25], "mu": [[0.0, 0.0]],
