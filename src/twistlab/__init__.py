@@ -26,8 +26,7 @@ from .presets import get_preset, instance_from_config, load_instance
 from .summatory import (CertificateReport, GrowthReport, TwistReport,
                         abs_partial_sum, additive_twist, growth_exponent,
                         omega_certificate, run_growth_scan, run_twist_scan)
-from .transforms import (KappaValue, TransformReport, H_direct, H_fe_side,
-                         H_sum_side, J_m_closed_form, J_n_quadrature,
+from .transforms import (TransformReport, H_direct, H_fe_side, H_sum_side,
                          constant_conventions, kappa, run_transform)
 
 __version__ = "0.1.0"

@@ -322,7 +322,7 @@ def _cmd_summatory(args) -> int:
 def _cmd_certify(args) -> int:
     L = _load(args)
     alpha = L.resonance_alpha(args.m)
-    kap = kappa(L, alpha, args.m, "oracle-calibrated")
+    kap = kappa(L, alpha, args.m)
     sp = _smoothing(args)
     report = omega_certificate(L, alpha, args.m, kap, parse_grid(args.T_grid), sp)
     rows = [(_fmt(r.T), _fmt(r.twist_abs), _fmt(r.bound),

@@ -40,8 +40,8 @@ import numpy as np
 
 from .errors import BudgetError, PoleError
 from .gammafn import (_check_poles, _digamma_vec, _log_gamma_tails,
-                      _log_gamma_taylor, _log_gamma_vec, _per_column,
-                      _ratio_args, _ratio_slopes, gamma_ratio_exact_grid)
+                      _log_gamma_taylor, _log_gamma_vec, _ratio_args,
+                      _ratio_slopes, gamma_ratio_exact_grid)
 from .gammafn import log_gamma  # unused here; the benchmark tracer wraps it
 from .model import LSeriesInstance, SmoothingParams
 from .summation import compensated_sum  # unused here; the benchmark tracer wraps it
@@ -455,17 +455,18 @@ class SmoothedLineEvaluator:
         """The correction tables at the points t themselves, shaped
         (tables, points): log Gamma(w/p) of each pole term, psi(w/p) of
         each order-2 pole, and each residue's signed log Gamma sum, with
-        w = pole - s.  Every point's values are those of one log Gamma call
-        on that point's arguments alone; a residue that is not applied at a
-        point takes the placeholder argument 1."""
+        w = pole - s.  The log Gamma and psi kernels reduce each argument on
+        its own, so a point's values do not depend on the points computed
+        with it; a residue that is not applied at a point takes the
+        placeholder argument 1."""
         p = self.sp.p
         w0 = self._pole_locations - (self.sigma + 1j * t)
         ratio_args, signs = _ratio_args(self.L.fe.gamma, self._x_k, t)
         args = np.concatenate(
             [w0 / p, np.where(self._applied(t), ratio_args, 1.0).reshape(-1, t.size)])
         _check_poles(args)
-        lg = _per_column(_log_gamma_vec, args)
-        psi = [_per_column(_digamma_vec, w0[j:j + 1] / p)[0] for j in self._psi_poles]
+        lg = _log_gamma_vec(args)
+        psi = [_digamma_vec(w0[j] / p) for j in self._psi_poles]
         log_ratio = np.sum(signs * lg[w0.shape[0]:].reshape(ratio_args.shape), axis=0)
         return np.concatenate([lg[:w0.shape[0]], np.reshape(psi, (-1, t.size)),
                                log_ratio])
@@ -504,11 +505,11 @@ class SmoothedLineEvaluator:
 
         rows = int(steps.max(initial=1))
         coef = np.zeros((rows,) + table_orders.shape, dtype=complex)
-        lg = _per_column(_log_gamma_vec,
-                         np.concatenate([pole_args, ratio_args.reshape(-1, centres.size)]))
+        lg = _log_gamma_vec(np.concatenate(
+            [pole_args, ratio_args.reshape(-1, centres.size)]))
         coef[0, :npoles] = lg[:npoles]
         for j in range(npsi):
-            coef[0, npoles + j] = _per_column(_digamma_vec, psi_args[j:j + 1])[0]
+            coef[0, npoles + j] = _digamma_vec(psi_args[j])
         coef[0, npoles + npsi:] = np.sum(signs * lg[npoles:].reshape(ratio_args.shape), axis=0)
         c_pole = _log_gamma_taylor(pole_args, rows + 1)
         c_ratio = _log_gamma_taylor(ratio_args, rows)

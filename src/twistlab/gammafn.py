@@ -86,32 +86,23 @@ def _shift_gap(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(_SHIFT_RADIUS ** 2 - w.imag ** 2, 0.0)) - w.real
 
 
-def _reflect_and_shift(z):
+def _reflect_and_shift(z, term):
     """The argument reduction shared by _log_gamma_vec and _digamma_vec:
-    z flattened, the mask of entries with Re z < 1/2, those entries
-    reflected to 1 - z, and the offsets 0..m-1 of the one common integer
-    shift m that puts every reduced entry at |w + m| >= _SHIFT_RADIUS."""
+    z flattened, the mask of entries with Re z < 1/2, and, with w those
+    entries reflected to 1 - z and m each entry's own shift
+    _derivative_shift(w), the shifted w + m (|w + m| >= _SHIFT_RADIUS) and
+    sum_{j<m} term(w + j).  The sum runs in ascending j over a table zeroed
+    past each entry's m, so trailing zeros leave its bits alone and every
+    value depends on its own entry only."""
     z = np.asarray(z, dtype=complex).ravel()
     left = z.real < 0.5
     w = np.where(left, 1.0 - z, z)
-    return z, left, w, np.arange(int(math.ceil(_shift_gap(w).max(initial=0.0))))
-
-
-def _per_column(kernel, z) -> np.ndarray:
-    """kernel (_log_gamma_vec or _digamma_vec) on each column of the 2-D
-    array z, bit for bit as if called on that column alone: the columns are
-    grouped by the common shift their own entries need, so a column's values
-    do not depend on the columns computed with it."""
-    z = np.asarray(z, dtype=complex)
-    if z.shape[1] == 1:
-        return kernel(z)
-    w = np.where(z.real < 0.5, 1.0 - z, z)
-    shifts = np.ceil(np.max(_shift_gap(w), axis=0, initial=0.0))
-    out = np.empty(z.shape, dtype=complex)
-    for shift in np.unique(shifts):
-        columns = shifts == shift
-        out[:, columns] = kernel(z[:, columns])
-    return out
+    m = _derivative_shift(w)
+    j = np.arange(int(m.max(initial=0.0)))
+    if not j.size:
+        return z, left, w, 0.0
+    table = np.where(j < m[:, None], term(w[:, None] + j), 0.0)
+    return z, left, w + m, np.cumsum(table, axis=1)[:, -1]
 
 
 def _derivative_shift(z: np.ndarray) -> np.ndarray:
@@ -212,20 +203,19 @@ def _log_gamma_vec(z) -> np.ndarray:
     """log Gamma on an array of any shape (no pole checking: callers keep
     away from the poles or run _check_poles first).
 
-    Entries with Re z < 1/2 are reflected to 1 - z; then every entry is
-    shifted by one common integer m so that |z + m| >= _SHIFT_RADIUS, and
-    log Gamma(z) = series(z + m) - sum_{j<m} log(z + j).
+    Entries with Re z < 1/2 are reflected to 1 - z; then each entry is
+    shifted by its own integer m so that |z + m| >= _SHIFT_RADIUS, and
+    log Gamma(z) = series(z + m) - sum_{j<m} log(z + j).  Each value
+    depends on its own argument only.
     """
     shape = np.shape(z)
-    z, left, w, shift = _reflect_and_shift(z)
-    res = -np.log(w[:, None] + shift).sum(axis=1)
-    w = w + shift.size
+    z, left, w, shifted = _reflect_and_shift(z, np.log)
     inv = 1.0 / w
     inv2 = inv * inv
     series = _STIRLING[-1]
     for c in _STIRLING[-2::-1]:
         series = series * inv2 + c
-    res += (w - 0.5) * np.log(w) - w + 0.5 * LOG_2PI + series * inv
+    res = (w - 0.5) * np.log(w) - w + 0.5 * LOG_2PI + series * inv - shifted
     if left.any():
         res[left] = LOG_PI - _log_sin_pi_vec(z[left]) - res[left]
     return res.reshape(shape)
@@ -238,14 +228,12 @@ def _digamma_vec(z) -> np.ndarray:
     psi(z) = psi(z + m) - sum_{j<m} 1/(z + j) before the asymptotic series.
     """
     shape = np.shape(z)
-    z, left, w, shift = _reflect_and_shift(z)
-    res = -(1.0 / (w[:, None] + shift)).sum(axis=1)
-    w = w + shift.size
+    z, left, w, shifted = _reflect_and_shift(z, lambda v: 1.0 / v)
     inv2 = 1.0 / (w * w)
     series = _DIGAMMA[-1]
     for c in _DIGAMMA[-2::-1]:
         series = series * inv2 + c
-    res += np.log(w) - 0.5 / w - series * inv2
+    res = np.log(w) - 0.5 / w - series * inv2 - shifted
     if left.any():
         res[left] -= math.pi / np.tan(math.pi * z[left])
     return res.reshape(shape)

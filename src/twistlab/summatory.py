@@ -24,7 +24,6 @@ import numpy as np
 
 from .model import LSeriesInstance, SmoothingParams
 from .summation import compensated_real_sum, compensated_sum
-from .transforms import KappaValue
 
 #: rho used by the twist/certificate experiments unless the caller overrides
 #: it via SmoothingParams: a larger cutoff X = T^{d+1} keeps the smoothing
@@ -190,14 +189,14 @@ def run_twist_scan(L: LSeriesInstance, alpha: float, T_grid: Sequence[float],
 
 
 def omega_certificate(L: LSeriesInstance, alpha: float, m: int,
-                      kap: KappaValue, T_grid: Sequence[float],
+                      kap: complex, T_grid: Sequence[float],
                       sp: SmoothingParams) -> CertificateReport:
-    """Per-T check of the certificate chain.  A failing row is a recorded
-    result, not an error."""
+    """Per-T check of the certificate chain, with kap = kappa(L, alpha, m).
+    A failing row is a recorded result, not an error."""
     _check_alpha(alpha)
     d = _twist_degree(L)
     a_m = L.coefficients.coefficient(m)
-    constant = 0.5 * abs(kap.value) * math.sqrt(d) * abs(a_m)
+    constant = 0.5 * abs(kap) * math.sqrt(d) * abs(a_m)
     expo = 0.5 + 1.0 / (2.0 * d)
     table = _grid_table(L, T_grid)
     rows: List[CertificateRow] = []

@@ -23,17 +23,17 @@ shrink as T grows):
   (2T)^d < n < (3T)^d, so that is the coefficient-sum route's window.
 * The resonant linear-phase integral J_n uses the base n^{-1} C Q^2 alpha^d,
   the same combination that defines the resonant index m = C Q^2 alpha^d.
-* kappa comes in two conventions: "paper-printed", the literal closed form
-  omega e^{iB} sqrt(C) Q alpha^{(1-d)/2+iA} (3^{1+iA}-2^{1+iA})/(1+iA),
-  kept for reference (for the ones-coefficient series at alpha = 2 pi its
-  modulus is 0.3989); and "oracle-calibrated",
+* kappa has one convention, assembled from first principles (functional
+  equation + exact J_m):
 
-      kappa* = omega e^{i(B - pi/4)} m^{-1/2} alpha^{1/2+iA}
-               (3^{1+iA} - 2^{1+iA}) / (1 + iA),
+      kappa = omega e^{i(B - pi/4)} m^{-1/2} alpha^{1/2+iA}
+              (3^{1+iA} - 2^{1+iA}) / (1 + iA).
 
-  assembled from first principles (functional equation + exact J_m), whose
-  modulus sqrt(2 pi) = 2.5066 for the ones series at alpha = 2 pi matches
-  the measured |H_direct|/T.  Calibrated is the downstream default.
+  For the ones-coefficient series at alpha = 2 pi its modulus
+  sqrt(2 pi) = 2.5066 matches the measured |H_direct|/T.  The commonly
+  printed closed form omega e^{iB} sqrt(C) Q alpha^{(1-d)/2+iA} (...) has
+  modulus 0.3989 there, which that measurement rejects; the --ledger text
+  still quotes it.
 """
 from __future__ import annotations
 
@@ -52,19 +52,8 @@ from .model import LSeriesInstance, SmoothingParams
 from .oscillatory import integrate_oscillatory
 from .summation import compensated_sum
 
-KAPPA_CONVENTIONS = ("paper-printed", "oracle-calibrated")
 #: the transform routes, in the order reports and outputs list them
 ROUTES = ("direct", "sum", "fe")
-
-
-@dataclass(frozen=True)
-class KappaValue:
-    value: complex
-    convention: str
-
-    def __post_init__(self):
-        if self.convention not in KAPPA_CONVENTIONS:
-            raise ValueError(f"convention must be one of {KAPPA_CONVENTIONS}")
 
 
 @dataclass(frozen=True)
@@ -158,63 +147,37 @@ def H_sum_side(L: LSeriesInstance, alpha: float, T: float,
     return math.sqrt(2.0 * math.pi / d) * compensated_sum(terms)
 
 
-def J_n_quadrature(L: LSeriesInstance, alpha: float, T: float, n: int,
-                   tol: Optional[float] = None) -> complex:
-    """int_{K_T} (n^{-1} C Q^2 alpha^d)^{-it} t^{iA} dt by panel quadrature."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    inv = L.invariants()
-    base = inv.C * L.fe.Q ** 2 * alpha ** inv.d / n
-    log_base = math.log(base)
-    A = inv.A
-    a, b = 2.0 * alpha * T, 3.0 * alpha * T
-    if tol is None:
-        tol = max(1e-10, 1e-8 * alpha * T)
-
-    def phase(t):
-        return -t * log_base + A * np.log(t)
-
-    def dphase(t):
-        return -log_base + A / t
-
-    return integrate_oscillatory(phase, (a, b), tol, dphase=dphase).value
-
-
-def J_m_closed_form(L: LSeriesInstance, alpha: float, T: float) -> complex:
-    """Resonant case n = m: (3^{1+iA} - 2^{1+iA})/(1+iA) (alpha T)^{1+iA}."""
-    A = L.invariants().A
+def _jm_factor(A: float) -> complex:
+    """(3^{1+iA} - 2^{1+iA}) / (1 + iA): the resonant integral J_m over K_T
+    is this times (alpha T)^{1+iA}."""
     e = 1.0 + 1j * A
-    return (3.0 ** e - 2.0 ** e) / e * (alpha * T) ** e
+    return (3.0 ** e - 2.0 ** e) / e
 
 
-def kappa(L: LSeriesInstance, alpha: float, m: int, convention: str) -> KappaValue:
-    """The T^{1+iA} coefficient of the functional-equation route, under the
-    chosen convention (see the module notes).  Requires the resonance
-    condition m = C Q^2 alpha^d to 1e-9 relative."""
+def kappa(L: LSeriesInstance, alpha: float, m: int,
+          convention: str = "oracle-calibrated") -> complex:
+    """The T^{1+iA} coefficient of the functional-equation route (see the
+    module notes).  Requires the resonance condition m = C Q^2 alpha^d to
+    1e-9 relative.
+
+    `convention` admits only "oracle-calibrated", the one convention, and
+    raises ValueError for anything else; it stays only because the
+    benchmark workloads pass it positionally."""
+    if convention != "oracle-calibrated":
+        raise ValueError(f"kappa has one convention, 'oracle-calibrated'; "
+                         f"got {convention!r}")
     inv = L.invariants()
     resonant = inv.C * L.fe.Q ** 2 * alpha ** inv.d
     if abs(resonant - m) > 1e-9 * max(1.0, abs(m)):
         raise ResonanceError(
             f"alpha = {alpha} is not the resonance of m = {m}: "
             f"C Q^2 alpha^d = {resonant}")
-    A, B, C, d = inv.A, inv.B, inv.C, inv.d
-    e = 1.0 + 1j * A
-    jm = (3.0 ** e - 2.0 ** e) / e
-    if convention == "paper-printed":
-        value = (L.fe.omega * cmath.exp(1j * B) * math.sqrt(C) * L.fe.Q
-                 * alpha ** ((1.0 - d) / 2.0 + 1j * A) * jm)
-    elif convention == "oracle-calibrated":
-        value = (L.fe.omega * cmath.exp(1j * (B - math.pi / 4.0))
-                 * m ** -0.5 * alpha ** (0.5 + 1j * A) * jm)
-    else:
-        raise ValueError(f"convention must be one of {KAPPA_CONVENTIONS}")
-    return KappaValue(value=value, convention=convention)
+    return (L.fe.omega * cmath.exp(1j * (inv.B - math.pi / 4.0))
+            * m ** -0.5 * alpha ** (0.5 + 1j * inv.A) * _jm_factor(inv.A))
 
 
-def H_fe_side(L: LSeriesInstance, alpha: float, T: float, kap: KappaValue,
-              m: int) -> complex:
-    """kappa a_m T^{1+iA}; the calibrated convention conjugates a_m (all
-    presets used downstream have real a_m, so the flag is cosmetic there)."""
+def H_fe_side(L: LSeriesInstance, T: float, kap: complex, m: int) -> complex:
+    """kappa conj(a_m) T^{1+iA}."""
     if T == 0.0:
         return 0.0 + 0.0j
     if T < 0.0:
@@ -222,10 +185,8 @@ def H_fe_side(L: LSeriesInstance, alpha: float, T: float, kap: KappaValue,
     a_m = L.coefficients.coefficient(m)
     if abs(a_m) == 0.0:
         raise ResonanceError(f"a_{m} vanishes for {L.name!r}")
-    if kap.convention == "oracle-calibrated":
-        a_m = a_m.conjugate()
     A = L.invariants().A
-    return kap.value * a_m * T ** (1.0 + 1j * A)
+    return kap * a_m.conjugate() * T ** (1.0 + 1j * A)
 
 
 def _pair_dev(x: complex, y: complex) -> float:
@@ -249,8 +210,7 @@ def run_transform(L: LSeriesInstance, m: int, T: float, sp: SmoothingParams,
     if "sum" in routes:
         values["sum"] = H_sum_side(L, alpha, T, sp)
     if "fe" in routes:
-        kap = kappa(L, alpha, m, "oracle-calibrated")
-        values["fe"] = H_fe_side(L, alpha, T, kap, m)
+        values["fe"] = H_fe_side(L, T, kappa(L, alpha, m), m)
     devs = {f"{r1}-{r2}": _pair_dev(values[r1], values[r2])
             for r1, r2 in itertools.combinations(values, 2)}
     return TransformReport(T=T, direct=values.get("direct"),

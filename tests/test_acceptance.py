@@ -111,8 +111,8 @@ def test_ac4_three_route_transform():
         h100 = abs(reports[100.0].direct) / 100.0
         h200 = abs(reports[200.0].direct) / 200.0
         extrapolated = 2.0 * h200 - h100
-        kap = kappa(L, TWO_PI, 1, "oracle-calibrated")
-        anchor = abs(kap.value) * math.sqrt(L.invariants().d) \
+        kap = kappa(L, TWO_PI, 1)
+        anchor = abs(kap) * math.sqrt(L.invariants().d) \
             * abs(L.coefficients.coefficient(1))
         assert abs(anchor - extrapolated) <= 0.05 * anchor, \
             f"anchor {anchor} vs extrapolated {extrapolated}"
@@ -138,7 +138,7 @@ def test_ac6_omega_certificate():
     with criterion("AC-6 certificate", 60.0):
         L = get_preset("zeta")
         sp = SmoothingParams(rho=TWIST_RHO)
-        kap = kappa(L, TWO_PI, 1, "oracle-calibrated")
+        kap = kappa(L, TWO_PI, 1)
         rep = omega_certificate(L, TWO_PI, 1, kap,
                                 [float(2 ** j) for j in range(5, 15)], sp)
         for row in rep.rows:

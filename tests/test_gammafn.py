@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from twistlab.errors import PoleError, SectorError
-from twistlab.gammafn import (_digamma_vec, gamma_ratio_asymptotic,
-                              gamma_ratio_compare, gamma_ratio_exact_grid,
-                              log_gamma, sector_threshold)
+from twistlab.gammafn import (_digamma_vec, _log_gamma_vec,
+                              gamma_ratio_asymptotic, gamma_ratio_compare,
+                              gamma_ratio_exact_grid, log_gamma,
+                              sector_threshold)
 from twistlab.model import GammaFactorSpec
 from twistlab.presets import get_preset
 
@@ -75,19 +76,30 @@ class TestLogGamma:
             approx = (log_gamma(z + h) - log_gamma(z - h)) / (2 * h)
             assert abs(_digamma_vec(z) - approx) < 1e-7
 
-    def test_digamma_vector_matches_scalar(self):
-        # one array shares a common shift; each 0-d call picks its own
+    @pytest.mark.parametrize("kernel", [_digamma_vec, _log_gamma_vec],
+                             ids=lambda k: k.__name__)
+    def test_vector_matches_scalar(self, kernel):
+        # entries needing shifts from 0 to 16: each is reduced on its own,
+        # so the array call gives every entry's 0-d value bit for bit
         z = np.array([3.5 + 2j, 0.25 + 10j, -1.2 + 0.7j, 0.1 - 30j,
                       -5.5 + 0.01j, 0.4, -0.3 - 200j, 100 + 1000j, 7.0])
-        for zi, v in zip(z, _digamma_vec(z)):
-            want = _digamma_vec(zi)
-            assert abs(v - want) <= 1e-14 * abs(want), zi
+        got = kernel(z)
+        want = np.array([kernel(zi) for zi in z])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestGammaRatio:
     def test_empty_spec_is_one(self):
         spec = GammaFactorSpec((), ())
         assert gamma_ratio_exact_grid(spec, 0.6, 10.0) == pytest.approx(1.0)
+
+    def test_pointwise_in_t(self):
+        # t = 0.5 needs a longer argument shift than t = 40; each Gamma
+        # argument is reduced on its own, so t = 0.5 cannot move t = 40
+        spec = get_preset("zeta").fe.gamma
+        together = gamma_ratio_exact_grid(spec, 0.5, np.array([0.5, 40.0]))
+        alone = gamma_ratio_exact_grid(spec, 0.5, np.array([40.0]))
+        assert np.array_equal(together[1:].view(np.int64), alone.view(np.int64))
 
     def test_unit_modulus_on_critical_line_exact(self):
         for name in ("zeta", "delta", "zeta-shift-pair"):

@@ -82,10 +82,6 @@ def test_library_imports_only_numpy_and_stdlib(path):
     assert not found, "undeclared dependencies: " + ", ".join(found)
 
 
-#: Exports only the tests call: the quadrature check of kappa's J_m closed form.
-EXPORT_EXEMPT = {"J_n_quadrature", "J_m_closed_form"}
-
-
 def referenced_names(source: str):
     """Every name the module reads, bare or as an attribute."""
     return {node.id if isinstance(node, ast.Name) else node.attr
@@ -101,5 +97,5 @@ def test_every_export_has_a_caller():
     callers = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
     callers += sorted((ROOT / "perfbench").glob("*.py"))
     used = set().union(*(referenced_names(p.read_text()) for p in callers))
-    orphans = sorted(exported - used - EXPORT_EXEMPT)
+    orphans = sorted(exported - used)
     assert not orphans, "exports no module calls: " + ", ".join(orphans)

@@ -151,7 +151,7 @@ class TestTwistScan:
         fe = dataclasses.replace(base.fe, gamma=GammaFactorSpec(((0.25, 0.0),)))
         L = dataclasses.replace(base, fe=fe)
         assert L.invariants().d < 1.0
-        kap = kappa(base, TWO_PI, 1, "oracle-calibrated")
+        kap = kappa(base, TWO_PI, 1)
         grid = [float(2 ** j) for j in range(5, 9)]
         with pytest.raises(ValueError):
             additive_twist(L, TWO_PI, 100.0, twist_sp())
@@ -171,7 +171,7 @@ class TestTwistScan:
 
         base = get_preset("zeta")
         L = dataclasses.replace(base, coefficients=Untouched([1.0]))
-        kap = kappa(base, TWO_PI, 1, "oracle-calibrated")
+        kap = kappa(base, TWO_PI, 1)
         grid = [float(2 ** j) for j in range(5, 9)]
         with pytest.raises(ValueError, match="alpha"):
             additive_twist(L, alpha, 100.0, twist_sp())
@@ -184,7 +184,7 @@ class TestTwistScan:
 class TestCertificate:
     def test_zeta_passes_with_margin(self):
         L = get_preset("zeta")
-        kap = kappa(L, TWO_PI, 1, "oracle-calibrated")
+        kap = kappa(L, TWO_PI, 1)
         rep = omega_certificate(L, TWO_PI, 1, kap,
                                 [float(2 ** j) for j in range(5, 15)], twist_sp())
         assert rep.all_passed()
@@ -196,7 +196,7 @@ class TestCertificate:
         # measured margin ~0.97 on the dyadic grid: the lower bound fails
         # narrowly for this shape and the certificate records that honestly
         L = get_preset("delta")
-        kap = kappa(L, TWO_PI, 1, "oracle-calibrated")
+        kap = kappa(L, TWO_PI, 1)
         rep = omega_certificate(L, TWO_PI, 1, kap,
                                 [float(2 ** j) for j in (10, 12, 14)], twist_sp())
         for row in rep.rows:

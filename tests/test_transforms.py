@@ -1,4 +1,4 @@
-"""Transform-route tests: J integrals, kappa conventions, route consistency."""
+"""Transform-route tests: J integrals, kappa, route consistency."""
 import cmath
 import math
 
@@ -7,12 +7,12 @@ import pytest
 
 from twistlab.errors import BudgetError, ResonanceError
 from twistlab.model import LSeriesInstance, SmoothingParams
-from twistlab.coefficients import PeriodicProvider
+from twistlab.coefficients import PeriodicProvider, TableProvider
 from twistlab import transforms
+from twistlab.oscillatory import integrate_oscillatory
 from twistlab.presets import get_preset, instance_from_config
-from twistlab.transforms import (KappaValue, H_direct, H_fe_side, H_sum_side,
-                                 J_m_closed_form, J_n_quadrature, kappa,
-                                 run_transform)
+from twistlab.transforms import (H_direct, H_fe_side, H_sum_side, _jm_factor,
+                                 kappa, run_transform)
 
 TWO_PI = 2 * math.pi
 
@@ -31,6 +31,32 @@ def synthetic_instance(A: float) -> LSeriesInstance:
         "sigma_a": 1.0,
         "coefficients": {"kind": "ones"},
     })
+
+
+def J_n_quadrature(L: LSeriesInstance, alpha: float, T: float, n: int,
+                   tol=None) -> complex:
+    """int_{K_T} (n^{-1} C Q^2 alpha^d)^{-it} t^{iA} dt by panel quadrature,
+    independent of kappa's closed form."""
+    inv = L.invariants()
+    log_base = math.log(inv.C * L.fe.Q ** 2 * alpha ** inv.d / n)
+    A = inv.A
+    if tol is None:
+        tol = max(1e-10, 1e-8 * alpha * T)
+
+    def phase(t):
+        return -t * log_base + A * np.log(t)
+
+    def dphase(t):
+        return -log_base + A / t
+
+    return integrate_oscillatory(phase, (2.0 * alpha * T, 3.0 * alpha * T), tol,
+                                 dphase=dphase).value
+
+
+def J_m_closed_form(L: LSeriesInstance, alpha: float, T: float) -> complex:
+    """The resonant case n = m: _jm_factor(A) (alpha T)^{1+iA}."""
+    A = L.invariants().A
+    return _jm_factor(A) * (alpha * T) ** (1.0 + 1j * A)
 
 
 class TestJIntegrals:
@@ -61,18 +87,11 @@ class TestJIntegrals:
 
 
 class TestKappa:
-    def test_printed_convention_value(self):
-        k = kappa(get_preset("zeta"), TWO_PI, 1, "paper-printed")
-        # |omega e^{iB} sqrt(C) Q| = sqrt(1/2) / sqrt(pi) = 0.3989
-        assert abs(k.value) == pytest.approx(0.3989422804014327, rel=1e-12)
-        assert k.value == pytest.approx(cmath.exp(1j * math.pi / 4)
-                                        * math.sqrt(0.5) / math.sqrt(math.pi))
-
     def test_calibrated_convention_value(self):
-        k = kappa(get_preset("zeta"), TWO_PI, 1, "oracle-calibrated")
-        # e^{i(B - pi/4)} = 1 here, so kappa* = sqrt(alpha) = sqrt(2 pi)
-        assert k.value == pytest.approx(math.sqrt(TWO_PI))
-        assert abs(k.value.imag) < 1e-14
+        k = kappa(get_preset("zeta"), TWO_PI, 1)
+        # e^{i(B - pi/4)} = 1 here, so kappa = sqrt(alpha) = sqrt(2 pi)
+        assert k == pytest.approx(math.sqrt(TWO_PI))
+        assert abs(k.imag) < 1e-14
 
     def test_trivial_jm_factor_at_A_zero(self):
         e = 1.0 + 0j
@@ -80,27 +99,38 @@ class TestKappa:
 
     def test_resonance_mismatch_rejected(self):
         with pytest.raises(ResonanceError):
-            kappa(get_preset("zeta"), 1.0, 1, "oracle-calibrated")
+            kappa(get_preset("zeta"), 1.0, 1)
 
     def test_unknown_convention_rejected(self):
-        with pytest.raises(ValueError):
-            kappa(get_preset("zeta"), TWO_PI, 1, "folklore")
-        with pytest.raises(ValueError):
-            KappaValue(1.0, "folklore")
+        for convention in ("folklore", "paper-printed"):
+            with pytest.raises(ValueError, match="one convention"):
+                kappa(get_preset("zeta"), TWO_PI, 1, convention)
 
 
 class TestFeSide:
     def test_linear_growth(self):
         L = get_preset("zeta")
-        k = kappa(L, TWO_PI, 1, "oracle-calibrated")
-        v1 = H_fe_side(L, TWO_PI, 100.0, k, 1)
-        v2 = H_fe_side(L, TWO_PI, 700.0, k, 1)
+        k = kappa(L, TWO_PI, 1)
+        v1 = H_fe_side(L, 100.0, k, 1)
+        v2 = H_fe_side(L, 700.0, k, 1)
         assert abs(v2) / 700.0 == pytest.approx(abs(v1) / 100.0, rel=1e-14)
 
     def test_zero_T(self):
         L = get_preset("zeta")
-        k = kappa(L, TWO_PI, 1, "oracle-calibrated")
-        assert H_fe_side(L, TWO_PI, 0.0, k, 1) == 0.0
+        k = kappa(L, TWO_PI, 1)
+        assert H_fe_side(L, 0.0, k, 1) == 0.0
+
+    def test_conjugates_complex_coefficient(self):
+        # every preset has real a_m; a unimodular a_1 exposes the conjugation
+        zeta = get_preset("zeta")
+        a_1 = cmath.exp(1j * math.pi / 3)
+        L = LSeriesInstance("x", TableProvider([a_1]), zeta.fe, zeta.sigma_a)
+        k = kappa(L, TWO_PI, 1)
+        T = 20.0
+        got = H_fe_side(L, T, k, 1)
+        power = T ** (1.0 + 1j * L.invariants().A)
+        assert got == k * a_1.conjugate() * power
+        assert abs(got - k * a_1 * power) > 0.5 * abs(got)
 
 
 class TestSumSide:
@@ -153,11 +183,11 @@ class TestRoutes:
         T = 20.0
         assert H_sum_side(scaled, TWO_PI, T, sp) == pytest.approx(
             7.0 * H_sum_side(base, TWO_PI, T, sp), rel=1e-12)
-        k = kappa(base, TWO_PI, 1, "oracle-calibrated")
-        ks = kappa(scaled, TWO_PI, 1, "oracle-calibrated")
-        assert ks.value == k.value  # scale lives in a_m, not kappa
-        assert H_fe_side(scaled, TWO_PI, T, ks, 1) == pytest.approx(
-            7.0 * H_fe_side(base, TWO_PI, T, k, 1), rel=1e-12)
+        k = kappa(base, TWO_PI, 1)
+        ks = kappa(scaled, TWO_PI, 1)
+        assert ks == k  # scale lives in a_m, not kappa
+        assert H_fe_side(scaled, T, ks, 1) == pytest.approx(
+            7.0 * H_fe_side(base, T, k, 1), rel=1e-12)
         hd_base = H_direct(base, TWO_PI, T, sp)
         hd_scaled = H_direct(scaled, TWO_PI, T, sp)
         assert abs(hd_scaled - 7.0 * hd_base) < 1e-3 * abs(hd_scaled)
