@@ -22,15 +22,16 @@ fixed for its lifetime, one complex exponential e^{-im ln n} is formed per
 (centre, term), and the remaining factor e^{-i(t-m) ln n} is a short Taylor
 series in t - m whose coefficients are BLAS products of that phase block
 with moment tables c_n (ln n - lambda)^k.  The evaluator keeps every
-centre's products, and with them the log Gamma values of the corrections as
-certified Taylor polynomials in t - m, so a later call on the same centres
-(the next quadrature level) pays only Horner steps.  A single t is its own
-centre and costs one phase row and one dot product per series.
+centre's products, so a later call on the same centres (the next quadrature
+level) pays only Horner steps.  The corrections take log Gamma and psi at
+each t itself: with one-period quadrature panels there are about as many
+nodes as centres.  A single t is its own centre and costs one phase row and
+one numpy sum per series, in a fixed order that does not depend on the BLAS
+thread count.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -39,9 +40,8 @@ from typing import Tuple
 import numpy as np
 
 from .errors import BudgetError, PoleError
-from .gammafn import (_check_poles, _digamma_vec, _log_gamma_tails,
-                      _log_gamma_taylor, _log_gamma_vec, _ratio_args,
-                      _ratio_slopes, gamma_ratio_exact_grid)
+from .gammafn import (_check_poles, _digamma_vec, _log_gamma_vec, _ratio_args,
+                      gamma_ratio_exact_grid)
 from .gammafn import log_gamma  # unused here; the benchmark tracer wraps it
 from .model import LSeriesInstance, SmoothingParams
 from .summation import compensated_sum  # unused here; the benchmark tracer wraps it
@@ -122,38 +122,13 @@ def _truncation_count(K: float, c: float, x: float, X: float, p: float,
     return max(8, lo), bound(max(8, lo))
 
 
-def _smallest_order(remainders) -> np.ndarray:
-    """Smallest K >= 1 whose certified remainder, the K-th item of
-    `remainders`, falls below 2^-53: elementwise over array items, and 0
-    where no item does."""
-    orders = None
-    for K, bound in enumerate(remainders, start=1):
-        below = np.asarray(bound) < 2.0 ** -53
-        if orders is None:
-            orders = np.zeros(below.shape, dtype=int)
-        orders[(orders == 0) & below] = K
-        if orders.all():
-            break
-    return orders
-
-
 def _taylor_order(r: float) -> int:
     """Smallest K >= 1 whose certified Taylor remainder r^K/K! e^r, relative
     to sum |c_n|, falls below 2^-53."""
-    return int(_smallest_order(r ** K / math.factorial(K) * math.exp(r)
-                               for K in itertools.count(1)))
-
-
-def _join(old: np.ndarray, fresh: np.ndarray) -> np.ndarray:
-    """Two per-centre tables side by side along the last (centre) axis; a
-    2-D or higher table with fewer Taylor rows (first axis) is padded with
-    zero rows, which leave the Horner step unchanged."""
-    if old.ndim > 1 and old.shape[0] != fresh.shape[0]:
-        rows = max(old.shape[0], fresh.shape[0])
-        old, fresh = (np.concatenate([a, np.zeros((rows - a.shape[0],) + a.shape[1:],
-                                                  dtype=a.dtype)])
-                      for a in (old, fresh))
-    return np.concatenate([old, fresh], axis=-1)
+    K = 1
+    while r ** K / math.factorial(K) * math.exp(r) >= 2.0 ** -53:
+        K += 1
+    return K
 
 
 def _check_pole_proximity(L: LSeriesInstance, s: complex) -> None:
@@ -265,10 +240,10 @@ class SmoothedLineEvaluator:
     on a grid anchored at the first t ever asked for, so that
     |t - m| |ln n - lambda| <= 2 with lambda = ln(width)/2, and the
     smallest order K whose certified remainder is below 2^-53.  Each
-    centre's sums and correction tables are formed once and kept for the
-    evaluator's lifetime.  `width` is the longest series, and `phase_evals`
-    counts the phase exponentials computed so far, `width` per centre
-    formed.
+    centre's sums are formed once and kept for the evaluator's lifetime;
+    the corrections take log Gamma and psi at every t.  `width` is the
+    longest series, and `phase_evals` counts the phase exponentials
+    computed so far, `width` per centre formed.
     """
 
     def __init__(self, L: LSeriesInstance, sp: SmoothingParams,
@@ -313,7 +288,7 @@ class SmoothedLineEvaluator:
         self.phase_evals = 0
         self._origin = None
         self._origin_lock = threading.Lock()
-        # (kind, order) -> (sorted centre indices, per-centre tables)
+        # order -> (sorted centre indices, per-centre sums)
         self._cache = {}
         self._moments = {}
         self._pole_locations = np.array(
@@ -336,9 +311,8 @@ class SmoothedLineEvaluator:
 
     def values(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
-        snap = self._snap(t) if t.size else None
-        sums = self._series_sums(t, snap)
-        return sums[0] - self._corrections(t, np.conj(sums[1:]), snap)
+        sums = self._series_sums(t)
+        return sums[0] - self._corrections(t, np.conj(sums[1:]))
 
     @functools.cached_property
     def _order(self) -> int:
@@ -358,36 +332,30 @@ class SmoothedLineEvaluator:
         u = t - (self._origin + index * self.spacing)
         return (self._order if u.any() else 1), index, u
 
-    def _tables(self, kind: str, order: int, index: np.ndarray):
-        """The cached per-centre tables of `kind` ("sums" or "corrections")
-        and order `order`, after forming those of the centres in `index`
-        not seen before, and the column of each index in them.
+    def _tables(self, order: int, index: np.ndarray):
+        """The cached per-centre sums of Taylor order `order` (see
+        _form_sums), after forming those of the centres in `index` not seen
+        before, and the column of each index in them.
 
-        A centre's tables do not depend on the centres formed with it, so a
+        A centre's sums do not depend on the centres formed with it, so a
         value never depends on which call formed them.  The extended cache
         is published by one assignment: a concurrent call sees it before or
         after, and at worst forms a centre again."""
-        key = (kind, order)
-        cached = self._cache.get(key)
+        cached = self._cache.get(order)
         wanted = np.unique(index) if index.size > 1 else index
         if cached is not None:
-            known, tables = cached
+            known, S = cached
             slot = np.minimum(np.searchsorted(known, wanted), known.size - 1)
             wanted = wanted[known[slot] != wanted]
         if wanted.size:
-            centres = self._origin + wanted * self.spacing
-            form = self._form_sums if kind == "sums" else self._form_corrections
-            new = form(order, centres)
-            if cached is None:
-                known, tables = wanted, new
-            else:
+            fresh = self._form_sums(order, self._origin + wanted * self.spacing)
+            if cached is not None:
                 wanted = np.concatenate([known, wanted])
-                order_by = np.argsort(wanted, kind="stable")
-                known = wanted[order_by]
-                tables = [_join(old, fresh)[..., order_by]
-                          for old, fresh in zip(tables, new)]
-            self._cache = {**self._cache, key: (known, tables)}
-        return tables, np.searchsorted(known, index)
+                fresh = np.concatenate([S, fresh], axis=-1)
+            order_by = np.argsort(wanted, kind="stable")
+            known, S = wanted[order_by], fresh[..., order_by]
+            self._cache = {**self._cache, order: (known, S)}
+        return S, np.searchsorted(known, index)
 
     def _moment_tables(self, order: int):
         """Each series' moment table c_n (ln n - lambda)^k / k!, k < order."""
@@ -408,18 +376,24 @@ class SmoothedLineEvaluator:
         (order, series, centres) array: the phase block e^{-im ln n} has one
         row per centre, and each S_k is its product with a moment table,
         taken one centre at a time so that a centre's S_k do not depend on
-        the centres formed with it."""
+        the centres formed with it.  At order 1 the one-column product is
+        numpy's pairwise sum, whose order does not depend on the BLAS
+        thread count."""
         moments = self._moment_tables(order)
         S = np.empty((order, len(moments), centres.size), dtype=complex)
         for lo in range(0, centres.size, _BLOCK):
             phases = np.exp(-1j * np.outer(centres[lo:lo + _BLOCK], self._lnn))
             self.phase_evals += phases.size
             for i, moment in enumerate(moments):
-                rows = phases[:, None, :moment.shape[0]] @ moment
-                S[:, i, lo:lo + _BLOCK] = rows[:, 0].T
-        return [S]
+                N = moment.shape[0]
+                if order == 1:
+                    S[0, i, lo:lo + _BLOCK] = np.sum(phases[:, :N] * moment[:, 0], axis=-1)
+                else:
+                    rows = phases[:, None, :N] @ moment
+                    S[:, i, lo:lo + _BLOCK] = rows[:, 0].T
+        return S
 
-    def _series_sums(self, t: np.ndarray, snap=None) -> np.ndarray:
+    def _series_sums(self, t: np.ndarray) -> np.ndarray:
         """Every series sum_n c_n e^{-it ln n} at every t, one row per
         series, by Taylor blocks: with m the centre of t and u = t - m,
 
@@ -427,12 +401,11 @@ class SmoothedLineEvaluator:
             S_k(m) = sum_n c_n (ln n - lambda)^k e^{-im ln n}.
 
         The S_k of each centre are formed once per evaluator (_form_sums)
-        and kept; each call pays only the Horner step at its nodes.  `snap`
-        is _snap(t) when the caller has it."""
+        and kept; each call pays only the Horner step at its nodes."""
         if t.size == 0:
             return np.empty((len(self._coefs), 0), dtype=complex)
-        K, index, u = snap or self._snap(t)
-        (S,), column = self._tables("sums", K, index)
+        K, index, u = self._snap(t)
+        S, column = self._tables(K, index)
         S = np.take(S, column, axis=2)
         x = -1j * u
         acc = S[K - 1]
@@ -452,8 +425,8 @@ class SmoothedLineEvaluator:
         return applied
 
     def _point_tables(self, t: np.ndarray) -> np.ndarray:
-        """The correction tables at the points t themselves, shaped
-        (tables, points): log Gamma(w/p) of each pole term, psi(w/p) of
+        """The log Gamma and psi tables of the corrections at the points t,
+        shaped (tables, points): log Gamma(w/p) of each pole term, psi(w/p) of
         each order-2 pole, and each residue's signed log Gamma sum, with
         w = pole - s.  The log Gamma and psi kernels reduce each argument on
         its own, so a point's values do not depend on the points computed
@@ -471,86 +444,14 @@ class SmoothedLineEvaluator:
         return np.concatenate([lg[:w0.shape[0]], np.reshape(psi, (-1, t.size)),
                                log_ratio])
 
-    def _form_corrections(self, order: int, centres: np.ndarray):
-        """Correction tables at the centres m: the Taylor coefficients in
-        u = t - m of the tables _point_tables lists, shaped (rows, tables,
-        centres) with rows the largest step order, and each centre's step
-        order, the largest over its tables.
-
-        Each table's order is the smallest whose certified remainder
-        (_log_gamma_tails, summed over a residue's arguments) is below 2^-53
-        for every |u| <= spacing/2.  Past it the coefficients are 0, so the
-        Horner step gives the same bits whatever order a call runs it to.
-        A centre where some table needs more than `order` terms, or whose
-        disc reaches a pole of Gamma, gets step order 0: its nodes take
-        their own point tables instead."""
-        p, h = self.sp.p, 0.5 * self.spacing
-        pole_args = (self._pole_locations - (self.sigma + 1j * centres)) / p
-        ratio_args, signs = _ratio_args(self.L.fe.gamma, self._x_k, centres)
-        slopes = _ratio_slopes(self.L.fe.gamma)[:, None, None]
-        psi_args = pole_args[self._psi_poles]
-        tails = (np.concatenate([pole, psi, ratio.sum(axis=0)])
-                 for pole, psi, ratio in zip(
-                     _log_gamma_tails(pole_args, h / p),
-                     _log_gamma_tails(psi_args, h / p, derivative=1),
-                     _log_gamma_tails(ratio_args, h * np.abs(slopes))))
-        table_orders = _smallest_order(itertools.islice(tails, order))
-        certified = (table_orders > 0).all(axis=0)
-        steps = np.where(certified, table_orders.max(axis=0, initial=1), 0)
-        # placeholder arguments where the step is not certified
-        pole_args = np.where(certified, pole_args, 1.0)
-        ratio_args = np.where(certified, ratio_args, 1.0)
-        psi_args = pole_args[self._psi_poles]
-        npoles, npsi = pole_args.shape[0], psi_args.shape[0]
-
-        rows = int(steps.max(initial=1))
-        coef = np.zeros((rows,) + table_orders.shape, dtype=complex)
-        lg = _log_gamma_vec(np.concatenate(
-            [pole_args, ratio_args.reshape(-1, centres.size)]))
-        coef[0, :npoles] = lg[:npoles]
-        for j in range(npsi):
-            coef[0, npoles + j] = _digamma_vec(psi_args[j])
-        coef[0, npoles + npsi:] = np.sum(signs * lg[npoles:].reshape(ratio_args.shape), axis=0)
-        c_pole = _log_gamma_taylor(pole_args, rows + 1)
-        c_ratio = _log_gamma_taylor(ratio_args, rows)
-        scale = -1j / p
-        for k in range(1, rows):
-            coef[k, :npoles] = c_pole[k - 1] * scale ** k
-            coef[k, npoles:npoles + npsi] = (k + 1) * c_pole[k, self._psi_poles] * scale ** k
-            coef[k, npoles + npsi:] = np.sum(signs * c_ratio[k - 1] * slopes ** k, axis=0)
-        coef[np.arange(rows)[:, None, None] >= table_orders] = 0.0
-        return [coef, steps]
-
-    def _stepped_tables(self, t: np.ndarray, snap=None) -> np.ndarray:
-        """The tables _point_tables lists, at every t: from the per-centre
-        Taylor tables (_form_corrections) by a Horner step in u = t - m, or
-        from the node's own point tables where it is a centre (a call of
-        order 1) or where its centre's step is not certified.  Values of
-        log Gamma may differ from the principal branch by multiples of
-        2 pi i; only their exponentials are used."""
-        order, index, u = snap or self._snap(t)
-        if order == 1:
-            return self._point_tables(t)
-        (coef, steps), column = self._tables("corrections", order, index)
-        node_steps = steps[column]
-        K = max(1, int(node_steps.max()))
-        tables = np.take(coef[:K], column, axis=2)
-        vals = tables[K - 1]
-        for k in range(K - 2, -1, -1):
-            vals = vals * u + tables[k]
-        own = node_steps == 0
-        if own.any():
-            vals[:, own] = self._point_tables(t[own])
-        return vals
-
-    def _corrections(self, t: np.ndarray, ft: np.ndarray, snap=None) -> np.ndarray:
+    def _corrections(self, t: np.ndarray, ft: np.ndarray) -> np.ndarray:
         """Pole terms plus contour residues at each t; ft holds the
         conjugated residue series.  Their log Gamma and psi values come from
-        _stepped_tables."""
+        _point_tables."""
         if t.size == 0:
             return np.zeros(0, dtype=complex)
         p, lnX, fe = self.sp.p, math.log(self.X), self.L.fe
-        vals = self._stepped_tables(t, snap)
+        vals = self._point_tables(t)
         npoles, npsi = len(self._poles), len(self._psi_poles)
         w0 = self._pole_locations - (self.sigma + 1j * t)
         g = np.exp(vals[:npoles] + w0 * lnX) / p

@@ -4,10 +4,9 @@ Self-contained: log Gamma is computed from the de Moivre series with a
 fixed table of Bernoulli coefficients, an argument shift into |z| >= 16,
 and the reflection formula for Re z < 1/2, in one vectorized kernel that
 the scalar log_gamma also calls.  No external special-function
-dependency; relative accuracy is ~1e-14 on the right half-plane.  The
-Taylor coefficients of log Gamma about a point come from the same Stirling
-series, differentiated after the shift, with a certified bound on the tail
-of the Taylor series (_log_gamma_taylor, _log_gamma_tails).
+dependency; relative accuracy is ~1e-14 on the right half-plane.  Each
+entry is reduced on its own, so a value does not depend on the other
+entries of the array it is computed with.
 
 All gamma-factor products are assembled in log space and exponentiated
 once, so ratios stay finite far beyond the overflow range of Gamma itself.
@@ -15,8 +14,6 @@ once, so ratios stay finite far beyond the overflow range of Gamma itself.
 from __future__ import annotations
 
 import cmath
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -81,122 +78,24 @@ def _log_sin_pi_vec(z: np.ndarray) -> np.ndarray:
     return np.where(lower, np.conj(val), val)
 
 
-def _shift_gap(w: np.ndarray) -> np.ndarray:
-    """How far each entry of w must move right to reach |w| >= _SHIFT_RADIUS."""
-    return np.sqrt(np.maximum(_SHIFT_RADIUS ** 2 - w.imag ** 2, 0.0)) - w.real
-
-
 def _reflect_and_shift(z, term):
     """The argument reduction shared by _log_gamma_vec and _digamma_vec:
     z flattened, the mask of entries with Re z < 1/2, and, with w those
-    entries reflected to 1 - z and m each entry's own shift
-    _derivative_shift(w), the shifted w + m (|w + m| >= _SHIFT_RADIUS) and
-    sum_{j<m} term(w + j).  The sum runs in ascending j over a table zeroed
-    past each entry's m, so trailing zeros leave its bits alone and every
-    value depends on its own entry only."""
+    entries reflected to 1 - z (so Re w >= 1/2) and m each entry's own
+    shift, the smallest integer m >= 0 with |w + m| >= _SHIFT_RADIUS, the
+    shifted w + m and sum_{j<m} term(w + j).  The sum runs in ascending j
+    over a table zeroed past each entry's m, so trailing zeros leave its
+    bits alone and every value depends on its own entry only."""
     z = np.asarray(z, dtype=complex).ravel()
     left = z.real < 0.5
     w = np.where(left, 1.0 - z, z)
-    m = _derivative_shift(w)
+    gap = np.sqrt(np.maximum(_SHIFT_RADIUS ** 2 - w.imag ** 2, 0.0)) - w.real
+    m = np.ceil(np.maximum(gap, 0.0))
     j = np.arange(int(m.max(initial=0.0)))
     if not j.size:
         return z, left, w, 0.0
     table = np.where(j < m[:, None], term(w[:, None] + j), 0.0)
     return z, left, w + m, np.cumsum(table, axis=1)[:, -1]
-
-
-def _derivative_shift(z: np.ndarray) -> np.ndarray:
-    """Per entry, the smallest integer m >= 0 with Re(z + m) >= 0 and
-    |z + m| >= _SHIFT_RADIUS."""
-    return np.ceil(np.maximum(np.maximum(_shift_gap(z), -z.real), 0.0))
-
-
-@functools.lru_cache(maxsize=None)
-def _stirling_derivative(k: int):
-    """c_i binomial(2i + k - 2, k), i = 1..11: the k-th Taylor coefficient
-    of c_i w^{1-2i} is (-1)^k times this, times w^{1-2i-k}."""
-    return tuple(c * math.comb(2 * i + k - 2, k) for i, c in enumerate(_STIRLING, start=1))
-
-
-def _log_gamma_taylor(z, order: int) -> np.ndarray:
-    """Taylor coefficients log Gamma^(k)(z) / k!, rows k = 1..order-1, of
-    each entry of z (any shape; no pole checking).
-
-    The shift identity log Gamma(z) = stirling(z + m) - sum_{j<m} log(z + j)
-    is differentiated term by term, with m from _derivative_shift: the k-th
-    coefficient of c_i w^{1-2i} is c_i binomial(1-2i, k) w^{1-2i-k}, and
-    that of -log(z + j) is (-1/(z + j))^k / k.  The derivatives are single
-    valued, so unlike the value they need no reflection."""
-    shape = np.shape(z)
-    z = np.asarray(z, dtype=complex).ravel()
-    m = _derivative_shift(z)
-    w = z + m
-    inv = 1.0 / w
-    inv2 = inv * inv
-    rows = np.empty((max(order - 1, 0), z.size), dtype=complex)
-    inv_k = inv  # w^{-k}
-    for k in range(1, order):
-        sign = -1.0 if k % 2 else 1.0
-        coefs = _stirling_derivative(k)
-        series = coefs[-1]
-        for c in coefs[-2::-1]:
-            series = series * inv2 + c
-        series = sign * series * inv_k * inv
-        if k == 1:
-            rows[0] = np.log(w) - 0.5 * inv + series
-        else:
-            rows[k - 1] = sign * (inv_k * w / (k * (k - 1)) + 0.5 * inv_k / k) + series
-        inv_k = inv_k * inv
-    for j in range(int(m.max(initial=0.0))):
-        sel = m > j
-        v = -1.0 / (z[sel] + j)
-        power = v
-        for k in range(1, order):
-            rows[k - 1, sel] += power / k
-            power = power * v
-    return rows.reshape(rows.shape[:1] + shape)
-
-
-def _log_gamma_tails(z, r, derivative: int = 0):
-    """Certified bounds, for K = 1, 2, ... in turn, on the tail past the
-    first K Taylor terms of log Gamma (derivative 0) or psi (derivative 1)
-    about each entry of z, for every step |delta| <= r (r > 0; inf where
-    that disc reaches a pole of Gamma).
-
-    For k >= 2 the k-th coefficient of log Gamma is
-    (-1)^k/k sum_{n>=0} (z + n)^{-k}.  With W = z + m from _derivative_shift
-    (Re W >= 0, so |W + v|^2 >= |W|^2 + v^2), its size is at most A_k / k,
-    A_k = sum_{j<m} |z + j|^{-k} + (1 + pi |W| / 2) |W|^{-k}.  Summing the
-    geometric series gives, with q_j = r / |z + j| and q_W = r / |W|,
-
-        sum_{k>=K} A_k r^k = sum_j q_j^K/(1 - q_j) + (1 + pi|W|/2) q_W^K/(1 - q_W),
-
-    which bounds the log Gamma tail times K (K >= 2; the K = 1 tail holds
-    psi(z) and is taken as unbounded) and, taken at K + 1 and divided by r,
-    the psi tail, whose k-th coefficient is (k + 1) times log Gamma's
-    (k + 1)-th."""
-    z, r = np.broadcast_arrays(np.asarray(z, dtype=complex),
-                               np.asarray(r, dtype=float))
-    m = _derivative_shift(z)
-    w = z + m
-    with np.errstate(divide="ignore"):
-        # one row per shift term, q = 0 past an entry's own shift
-        offsets = np.arange(int(m.max(initial=0.0))).reshape((-1,) + (1,) * z.ndim)
-        q = np.where(offsets < m, r / np.abs(z + offsets), 0.0)
-        q_w = r / np.abs(w)
-    weight = 1.0 + 0.5 * math.pi * np.abs(w)
-    reachable = (q.max(axis=0, initial=0.0) >= 1.0) | (q_w >= 1.0)
-    q = np.where(reachable, 0.0, q)
-    q_w = np.where(reachable, 0.0, q_w)
-    for K in itertools.count(1):
-        n = K + derivative
-        geometric = ((q ** n / (1.0 - q)).sum(axis=0)
-                     + weight * q_w ** n / (1.0 - q_w))
-        if derivative:
-            tail = geometric / r
-        else:
-            tail = geometric / K if K >= 2 else np.full(z.shape, math.inf)
-        yield np.where(reachable, math.inf, tail)
 
 
 def _log_gamma_vec(z) -> np.ndarray:
@@ -257,16 +156,6 @@ class GammaRatioResult:
     exact: complex
     asymptotic: complex
     relative_error: float
-
-
-def _ratio_slopes(spec: GammaFactorSpec) -> np.ndarray:
-    """d/dt of each Gamma argument _ratio_args stacks, in the same order:
-    -i lambda for lambda (1 - s) + conj(mu), i lambda for lambda s + mu."""
-    slopes = []
-    for factors in (spec.numerator, spec.denominator):
-        for lam, _ in factors:
-            slopes += [-1j * lam, 1j * lam]
-    return np.array(slopes, dtype=complex)
 
 
 def _ratio_args(spec: GammaFactorSpec, x, t):

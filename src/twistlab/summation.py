@@ -3,8 +3,10 @@
 Summation order is part of the reproducibility contract: series are
 accumulated in ascending index order, block by block, with a Neumaier
 error-carrying combine across blocks.  Within a block numpy's pairwise
-reduction is used (deterministic for a fixed block size), so results are
-bit-stable across runs and machines with IEEE-754 doubles.
+reduction is used (deterministic for a fixed block size).  No BLAS call is
+made, so results are bit-stable across runs and BLAS thread counts; the
+pairwise blocking is numpy's own, so bits are promised across machines
+only for one numpy version.
 """
 from __future__ import annotations
 

@@ -33,7 +33,7 @@ shrink as T grows):
   sqrt(2 pi) = 2.5066 matches the measured |H_direct|/T.  The commonly
   printed closed form omega e^{iB} sqrt(C) Q alpha^{(1-d)/2+iA} (...) has
   modulus 0.3989 there, which that measurement rejects; the --ledger text
-  still quotes it.
+  quotes it as the rejected form.
 """
 from __future__ import annotations
 
@@ -228,11 +228,12 @@ def constant_conventions() -> str:
         "  stationary term   sqrt(2 pi a / d) n^{1/(2d)} exp(-i d a n^{1/d})\n"
         "  flat-phase ranges n <= T^d (|f'| >= d log 2), n >= (4T)^d (|f'| >= d log 4/3)\n"
         "  J_n base          (n^{-1} C Q^2 a^d)^{-it} t^{iA}; resonance m = C Q^2 a^d\n"
-        "  kappa printed     omega e^{iB} sqrt(C) Q a^{(1-d)/2+iA} (3^e-2^e)/e, e = 1+iA\n"
-        "                    (|kappa| = 0.3989 for ones-series at a = 2 pi; kept for reference)\n"
-        "  kappa calibrated  omega e^{i(B-pi/4)} m^{-1/2} a^{1/2+iA} (3^e-2^e)/e\n"
+        "  kappa calibrated  omega e^{i(B-pi/4)} m^{-1/2} a^{1/2+iA} (3^e-2^e)/e, e = 1+iA\n"
         "                    (|kappa| = sqrt(2 pi) = 2.5066 for ones-series at a = 2 pi;\n"
-        "                     matches measured |H_direct|/T; downstream default)\n"
+        "                     matches measured |H_direct|/T; the only kappa computed)\n"
+        "  rejected form     omega e^{iB} sqrt(C) Q a^{(1-d)/2+iA} (3^e-2^e)/e\n"
+        "                    (the commonly printed closed form: |.| = 0.3989 for\n"
+        "                     ones-series at a = 2 pi, which |H_direct|/T rejects)\n"
         "  B constant        -2[sum Im mu_j log l_j - sum Im mu'_j log l'_j]\n"
         "                    - (pi/2)[d/2 + 2 Re(mu - mu') - (r - r')]\n"
         "                    (+pi/4 for the ones series; validated against exact\n"

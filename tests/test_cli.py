@@ -1,9 +1,14 @@
 """CLI tests: parsing, outputs, exit codes, determinism, custom configs."""
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
+import twistlab
 from twistlab.cli import UsageError, main, parse_grid, parse_int_range
 from twistlab.errors import PoleError, SectorError
 from twistlab.gammafn import gamma_ratio_compare
@@ -11,6 +16,26 @@ from twistlab.presets import (PRESET_NAMES, get_preset, instance_from_config,
                               load_instance)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+#: runs the CLI on sys.argv[1:] after writing the BLAS thread count that
+#: numpy's bundled OpenBLAS reports (or "unknown") to stderr
+BLAS_CHILD = """
+import ctypes, glob, os, sys
+import numpy
+from twistlab.cli import main
+threads = "unknown"
+libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+for path in glob.glob(os.path.join(libs, "*openblas*")):
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        get = getattr(ctypes.CDLL(path), name, None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            threads = get()
+            break
+print(f"blas threads {threads}", file=sys.stderr)
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 def _preset_config(name, Q, lam, mu, sigma_a, poles=()):
@@ -334,6 +359,35 @@ class TestDeterminism:
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert len(out1.read_bytes()) > 0
+
+    BLAS_COMMANDS = [
+        ("eval", ["eval", "--preset", "zeta", "--sigma", "0.5", "--t", "10:50:5",
+                  "--X", "10000"]),
+        ("transform", ["transform", "--preset", "zeta", "--T-grid", "20"]),
+    ]
+
+    @pytest.mark.parametrize("name, argv", BLAS_COMMANDS,
+                             ids=[c[0] for c in BLAS_COMMANDS])
+    def test_bytes_do_not_depend_on_blas_threads(self, name, argv, tmp_path):
+        # each run in its own process, as the BLAS reads its thread count
+        # once at load time
+        path = [str(Path(twistlab.__file__).resolve().parents[1]),
+                os.environ.get("PYTHONPATH")]
+        outputs, threads = {}, {}
+        for n in (1, 2):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n), OMP_NUM_THREADS=str(n),
+                       PYTHONPATH=os.pathsep.join(filter(None, path)))
+            out = tmp_path / f"threads{n}.csv"
+            proc = subprocess.run([sys.executable, "-c", BLAS_CHILD, *argv, "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            threads[n] = proc.stderr.split("blas threads ")[-1].split()[0]
+            outputs[n] = out.read_bytes()
+        print(f"{name}: BLAS threads requested 1, 2; got {threads[1]}, {threads[2]}")
+        if threads[1] == threads[2]:
+            warnings.warn(f"{name}: the BLAS ran {threads[1]} thread(s) both times; "
+                          "the comparison does not exercise a thread-count change")
+        assert outputs[1] == outputs[2], f"got BLAS threads {threads}"
 
 
 class TestLayout:

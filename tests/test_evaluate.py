@@ -353,8 +353,8 @@ class TestLineEvaluator:
         # a centre's tables do not depend on the call that formed them, so
         # once the grid is anchored the same nodes give the same bits
         # (forwards, one centre is formed alone; backwards, with all others;
-        # small-t correction tables need more Taylor rows than the others,
-        # and the last set steps both kinds in one call)
+        # the small-t and large-t sets sit far apart on the grid, and the
+        # last set mixes both in one call)
         sets = [np.array([231.25, 231.3, 231.4]), np.array([5.1, 5.6, 6.3]),
                 np.array([5.35, 231.33])] + [
             _panel_nodes(a, a + 60.0, n)[0] for a in (200.0, 230.0) for n in (24, 48)]
@@ -411,14 +411,14 @@ class TestLineEvaluator:
             sys.setswitchinterval(interval)
 
 
-#: (preset, sigma, nodes, evaluator X): the correction-step cases
+#: (preset, sigma, nodes, evaluator X): the correction cases
 CORRECTION_CASES = {
     # degree 2, small |Im| of the Gamma arguments: the shift is active
     "zeta-sq-shifted": ("zeta-sq", 0.5, np.linspace(2.0, 20.0, 181), 1000.0),
     "delta-shifted": ("delta", 0.5, np.linspace(2.0, 20.0, 181), 1000.0),
     # the pole-term argument (1 - sigma - it)/p has Re < 1/2 (reflected)
     "zeta-reflected": ("zeta", 0.6, np.linspace(-40.0, 40.0, 321), 1000.0),
-    # nodes next to the pole term's Gamma pole at t = 0: uncertified steps
+    # nodes next to the pole term's Gamma pole at t = 0
     "zeta-near-pole": ("zeta", 0.5, np.linspace(-3.0, 3.0, 61), 1000.0),
     "zeta-sq-order-2": ("zeta-sq", 0.6, np.linspace(5.0, 90.0, 341), 3000.0),
     "chi4-no-pole": ("dirichlet-chi4", 0.5, np.linspace(2.5, 60.0, 231), 1000.0),
@@ -432,12 +432,12 @@ class TestCorrectionSteps:
         return SmoothedLineEvaluator(get_preset(name), SmoothingParams(X=X), sigma=sigma), t
 
     @pytest.mark.parametrize("case", sorted(CORRECTION_CASES))
-    def test_steps_match_per_node_log_gamma(self, case):
-        # every stepped table against its own log Gamma / digamma call per
-        # node; log Gamma is compared modulo 2 pi i, as only its exponential
+    def test_point_tables_match_per_node_log_gamma(self, case):
+        # every table against its own log Gamma / digamma call per node;
+        # log Gamma is compared modulo 2 pi i, as only its exponential
         # enters, and a residue only where it is applied
         ev, t = self.evaluator(case)
-        got = ev._stepped_tables(t)
+        got = ev._point_tables(t)
         applied = np.broadcast_to(ev._applied(t), (ev._x_k.shape[0], t.size))
         p = ev.sp.p
         for i, ti in enumerate(t):
@@ -466,8 +466,8 @@ class TestCorrectionSteps:
         want, scale = direct_corrections(ev, t, ft)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
-    def test_cases_cover_shift_reflection_and_own_centres(self):
-        shifted = reflected = own = False
+    def test_cases_cover_shift_and_reflection(self):
+        shifted = reflected = False
         for case in CORRECTION_CASES:
             ev, t = self.evaluator(case)
             args = _ratio_args(ev.L.fe.gamma, ev._x_k, t)[0].ravel()
@@ -476,8 +476,4 @@ class TestCorrectionSteps:
             reduced = np.where(args.real < 0.5, 1 - args, args)
             shifted |= bool(np.any(np.abs(reduced) < 16))
             reflected |= bool(np.any(args.real < 0.5))
-            ev._stepped_tables(t)
-            (_, steps), column = ev._tables("corrections", ev._order,
-                                           np.rint((t - t[0]) / ev.spacing))
-            own |= bool(np.any(steps[column] == 0))
-        assert shifted and reflected and own
+        assert shifted and reflected

@@ -55,6 +55,23 @@ class TestIntegrateOscillatory:
         assert err.value.partial is not None
         assert abs(err.value.partial.value - 2j) < 1e-10
 
+    def test_amplitude_faster_than_phase(self):
+        # the panel rule reads the phase rate only; an amplitude e^{i lam t}
+        # with lam = 8 max|dphase| (as F(1/2 + it) in H_direct) is left to
+        # the two-level comparison, which must still reach the closed form
+        omega, lam, (a, b), tol = 1.0, 8.0, (10.0, 210.0), 1e-8
+        r = integrate_oscillatory(lambda t: omega * t, (a, b), tol,
+                                  lambda t: np.full_like(t, omega),
+                                  amplitude=lambda t: np.exp(1j * lam * t))
+        k = omega + lam
+        exact = (np.exp(1j * k * b) - np.exp(1j * k * a)) / (1j * k)
+        # the one-period rule, not MIN_PANELS, sets the first level (20
+        # panels), and the comparison refines well past the rule's 40
+        n_rule = math.ceil((b - a) * 1.25 * omega / TWO_PI)
+        assert n_rule > 2 * 8
+        assert r.panels > 4 * n_rule
+        assert abs(r.value - exact) <= tol
+
     def test_interval_additivity(self):
         pf = PhaseFamily(alpha=TWO_PI, n=15000, d=1.0)
         a, b = pf.interval(6000.0)
