@@ -16,24 +16,23 @@ sigma = 1/2, zeta-scaled at the default X is off by 1.0e-7 at t = 30 and
 tail_bound 1.1e-12 (ROADMAP open item 2).
 
 The series are summed by Taylor blocks (Odlyzko-Schoenhage, Trans. AMS 309,
-1988; Hiary, Ann. of Math. 174, 2011): each t is snapped to a centre m on a
-grid whose origin is the first t the evaluator is ever asked for and stays
-fixed for its lifetime, one complex exponential e^{-im ln n} is formed per
-(centre, term), and the remaining factor e^{-i(t-m) ln n} is a short Taylor
-series in t - m whose coefficients are BLAS products of that phase block
-with moment tables c_n (ln n - lambda)^k.  The evaluator keeps every
-centre's products, so a later call on the same centres (the next quadrature
-level) pays only Horner steps.  The corrections take log Gamma and psi at
-each t itself: with one-period quadrature panels there are about as many
-nodes as centres.  A single t is its own centre and costs one phase row and
-one numpy sum per series, in a fixed order that does not depend on the BLAS
-thread count.
+1988; Hiary, Ann. of Math. 174, 2011): each t is snapped to the nearest
+centre m on the grid of multiples of the evaluator's `spacing`, one complex
+exponential e^{-im ln n} is formed per (centre, term), and the remaining
+factor e^{-i(t-m) ln n} is a short Taylor series in t - m whose coefficients
+are BLAS products of that phase block with moment tables
+c_n (ln n - lambda)^k.  The evaluator keeps every centre's products, so a
+later call on the same centres (the next quadrature level) pays only Horner
+steps, and a t's value does not depend on the calls made before.  The
+corrections take log Gamma and psi at each t itself: with one-period
+quadrature panels there are about as many nodes as centres.  A single t is
+summed directly: one phase row and one numpy sum per series, in a fixed
+order that does not depend on the BLAS thread count.
 """
 from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -129,6 +128,11 @@ def _taylor_order(r: float) -> int:
     while r ** K / math.factorial(K) * math.exp(r) >= 2.0 ** -53:
         K += 1
     return K
+
+
+# the Taylor order of every multi-point call: a t lies within spacing/2 of its
+# centre, and spacing/2 * lambda = _TAYLOR_RADIUS
+_ORDER = _taylor_order(_TAYLOR_RADIUS)
 
 
 def _check_pole_proximity(L: LSeriesInstance, s: complex) -> None:
@@ -236,14 +240,14 @@ class SmoothedLineEvaluator:
     conjugated pole.  `tail` bounds the truncation error of the series plus
     that of every residue series.
 
-    `values` sums every series by Taylor blocks: centres `spacing` apart
-    on a grid anchored at the first t ever asked for, so that
-    |t - m| |ln n - lambda| <= 2 with lambda = ln(width)/2, and the
-    smallest order K whose certified remainder is below 2^-53.  Each
-    centre's sums are formed once and kept for the evaluator's lifetime;
-    the corrections take log Gamma and psi at every t.  `width` is the
-    longest series, and `phase_evals` counts the phase exponentials
-    computed so far, `width` per centre formed.
+    `values` sums a single t directly and several t by Taylor blocks:
+    centres at the multiples of `spacing`, so that |t - m| |ln n - lambda|
+    <= 2 with lambda = ln(width)/2, and the smallest order K whose
+    certified remainder is below 2^-53.  Each centre's sums are formed once
+    and kept for the evaluator's lifetime, so values do not depend on call
+    history; the corrections take log Gamma and psi at every t.  `width` is
+    the longest series, and `phase_evals` counts the phase exponentials
+    computed so far, `width` per centre formed or single t summed.
     """
 
     def __init__(self, L: LSeriesInstance, sp: SmoothingParams,
@@ -286,14 +290,8 @@ class SmoothedLineEvaluator:
         self._lam = 0.5 * math.log(width)
         self.spacing = 2.0 * _TAYLOR_RADIUS / self._lam
         self.phase_evals = 0
-        self._origin = None
-        self._origin_lock = threading.Lock()
-        # order -> (sorted centre indices, per-centre sums)
-        self._cache = {}
-        self._moments = {}
         self._pole_locations = np.array(
             [pole.location for pole in self._poles], dtype=complex)[:, None]
-        self._psi_poles = [j for j, pole in enumerate(self._poles) if pole.order == 2]
         damp = (n / X) ** sp.p
         # Residue series are kept with unconjugated coefficients: the series
         # sum conj(a_n) w_n n^{-(1-x)+it} is the conjugate of
@@ -308,94 +306,61 @@ class SmoothedLineEvaluator:
                 raise ValueError(
                     f"weighted coefficients a_n e^(-(n/X)^p) n^(-sigma) at "
                     f"sigma={x!r} are not finite, first at n={bad[0] + 1}")
+        # (sorted centre indices, their per-centre sums)
+        self._cache = (np.empty(0), np.empty((_ORDER, len(series), 0), dtype=complex))
 
     def values(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         sums = self._series_sums(t)
         return sums[0] - self._corrections(t, np.conj(sums[1:]))
 
-    @functools.cached_property
-    def _order(self) -> int:
-        """The Taylor order of every call that is not all centres: each
-        node lies within spacing/2 of its centre."""
-        return _taylor_order(0.5 * self.spacing * self._lam)
-
-    def _snap(self, t: np.ndarray):
-        """Each t's centre index on the grid anchored at the first t this
-        evaluator was ever asked for, its offset u = t - m from that centre,
-        and the Taylor order of the call: 1 when every t is a centre, else
-        the order that serves every |u| <= spacing/2."""
-        with self._origin_lock:
-            if self._origin is None:
-                self._origin = float(t[0])
-        index = np.rint((t - self._origin) / self.spacing)
-        u = t - (self._origin + index * self.spacing)
-        return (self._order if u.any() else 1), index, u
-
-    def _tables(self, order: int, index: np.ndarray):
-        """The cached per-centre sums of Taylor order `order` (see
-        _form_sums), after forming those of the centres in `index` not seen
-        before, and the column of each index in them.
+    def _tables(self, index: np.ndarray):
+        """The cached per-centre sums (see _form_sums), after forming those
+        of the centres in `index` not seen before, and the column of each
+        index in them.
 
         A centre's sums do not depend on the centres formed with it, so a
         value never depends on which call formed them.  The extended cache
         is published by one assignment: a concurrent call sees it before or
         after, and at worst forms a centre again."""
-        cached = self._cache.get(order)
-        wanted = np.unique(index) if index.size > 1 else index
-        if cached is not None:
-            known, S = cached
-            slot = np.minimum(np.searchsorted(known, wanted), known.size - 1)
-            wanted = wanted[known[slot] != wanted]
+        known, S = self._cache
+        wanted = np.setdiff1d(index, known)
         if wanted.size:
-            fresh = self._form_sums(order, self._origin + wanted * self.spacing)
-            if cached is not None:
-                wanted = np.concatenate([known, wanted])
-                fresh = np.concatenate([S, fresh], axis=-1)
-            order_by = np.argsort(wanted, kind="stable")
-            known, S = wanted[order_by], fresh[..., order_by]
-            self._cache = {**self._cache, order: (known, S)}
+            known = np.concatenate([known, wanted])
+            S = np.concatenate([S, self._form_sums(wanted * self.spacing)], axis=-1)
+            order_by = np.argsort(known, kind="stable")
+            known, S = known[order_by], S[..., order_by]
+            self._cache = (known, S)
         return S, np.searchsorted(known, index)
 
-    def _moment_tables(self, order: int):
-        """Each series' moment table c_n (ln n - lambda)^k / k!, k < order."""
-        moments = self._moments.get(order)
-        if moments is None:
-            if order == 1:
-                # every t is its own centre: the moment tables are the coefficients
-                moments = [coef[:, None] for coef in self._coefs]
-            else:
-                powers = np.vander(self._lnn - self._lam, order, increasing=True)
-                powers /= [float(math.factorial(k)) for k in range(order)]
-                moments = [coef[:, None] * powers[:coef.size] for coef in self._coefs]
-            self._moments = {**self._moments, order: moments}
-        return moments
+    @functools.cached_property
+    def _moments(self):
+        """Each series' moment table c_n (ln n - lambda)^k / k!, k < _ORDER."""
+        powers = np.vander(self._lnn - self._lam, _ORDER, increasing=True)
+        powers /= [float(math.factorial(k)) for k in range(_ORDER)]
+        return [coef[:, None] * powers[:coef.size] for coef in self._coefs]
 
-    def _form_sums(self, order: int, centres: np.ndarray):
-        """S_k(m) / k!, k < order, of every series at the centres m, as one
+    def _form_sums(self, centres: np.ndarray):
+        """S_k(m) / k!, k < _ORDER, of every series at the centres m, as one
         (order, series, centres) array: the phase block e^{-im ln n} has one
         row per centre, and each S_k is its product with a moment table,
         taken one centre at a time so that a centre's S_k do not depend on
-        the centres formed with it.  At order 1 the one-column product is
-        numpy's pairwise sum, whose order does not depend on the BLAS
-        thread count."""
-        moments = self._moment_tables(order)
-        S = np.empty((order, len(moments), centres.size), dtype=complex)
+        the centres formed with it."""
+        S = np.empty((_ORDER, len(self._moments), centres.size), dtype=complex)
         for lo in range(0, centres.size, _BLOCK):
             phases = np.exp(-1j * np.outer(centres[lo:lo + _BLOCK], self._lnn))
             self.phase_evals += phases.size
-            for i, moment in enumerate(moments):
-                N = moment.shape[0]
-                if order == 1:
-                    S[0, i, lo:lo + _BLOCK] = np.sum(phases[:, :N] * moment[:, 0], axis=-1)
-                else:
-                    rows = phases[:, None, :N] @ moment
-                    S[:, i, lo:lo + _BLOCK] = rows[:, 0].T
+            for i, moment in enumerate(self._moments):
+                rows = phases[:, None, :moment.shape[0]] @ moment
+                S[:, i, lo:lo + _BLOCK] = rows[:, 0].T
         return S
 
     def _series_sums(self, t: np.ndarray) -> np.ndarray:
         """Every series sum_n c_n e^{-it ln n} at every t, one row per
-        series, by Taylor blocks: with m the centre of t and u = t - m,
+        series.  A lone t is its own centre: one phase row, summed by numpy
+        in an order that does not depend on the BLAS thread count, and not
+        cached.  Otherwise by Taylor blocks: with m = rint(t / spacing)
+        spacing the centre of t and u = t - m,
 
             sum_n c_n e^{-it ln n} = e^{-iu lambda} sum_{k<K} (-iu)^k S_k(m)/k!,
             S_k(m) = sum_n c_n (ln n - lambda)^k e^{-im ln n}.
@@ -404,12 +369,17 @@ class SmoothedLineEvaluator:
         and kept; each call pays only the Horner step at its nodes."""
         if t.size == 0:
             return np.empty((len(self._coefs), 0), dtype=complex)
-        K, index, u = self._snap(t)
-        S, column = self._tables(K, index)
+        if t.size == 1:
+            phases = np.exp(-1j * np.outer(t, self._lnn))
+            self.phase_evals += phases.size
+            return np.array([np.sum(phases[:, :coef.size] * coef, axis=-1)
+                             for coef in self._coefs])
+        index = np.rint(t / self.spacing)
+        S, column = self._tables(index)
         S = np.take(S, column, axis=2)
-        x = -1j * u
-        acc = S[K - 1]
-        for k in range(K - 2, -1, -1):
+        x = -1j * (t - index * self.spacing)
+        acc = S[_ORDER - 1]
+        for k in range(_ORDER - 2, -1, -1):
             acc *= x
             acc += S[k]
         return np.exp(self._lam * x) * acc
@@ -424,45 +394,33 @@ class SmoothedLineEvaluator:
                                  >= _FE_SAFE_RADIUS)
         return applied
 
-    def _point_tables(self, t: np.ndarray) -> np.ndarray:
-        """The log Gamma and psi tables of the corrections at the points t,
-        shaped (tables, points): log Gamma(w/p) of each pole term, psi(w/p) of
-        each order-2 pole, and each residue's signed log Gamma sum, with
-        w = pole - s.  The log Gamma and psi kernels reduce each argument on
-        its own, so a point's values do not depend on the points computed
-        with it; a residue that is not applied at a point takes the
-        placeholder argument 1."""
-        p = self.sp.p
-        w0 = self._pole_locations - (self.sigma + 1j * t)
-        ratio_args, signs = _ratio_args(self.L.fe.gamma, self._x_k, t)
-        args = np.concatenate(
-            [w0 / p, np.where(self._applied(t), ratio_args, 1.0).reshape(-1, t.size)])
-        _check_poles(args)
-        lg = _log_gamma_vec(args)
-        psi = [_digamma_vec(w0[j] / p) for j in self._psi_poles]
-        log_ratio = np.sum(signs * lg[w0.shape[0]:].reshape(ratio_args.shape), axis=0)
-        return np.concatenate([lg[:w0.shape[0]], np.reshape(psi, (-1, t.size)),
-                               log_ratio])
-
     def _corrections(self, t: np.ndarray, ft: np.ndarray) -> np.ndarray:
         """Pole terms plus contour residues at each t; ft holds the
-        conjugated residue series.  Their log Gamma and psi values come from
-        _point_tables."""
+        conjugated residue series.  log Gamma(w/p) and, for an order-2 pole,
+        psi(w/p) with w = pole - s, and each residue's signed log Gamma sum
+        are taken at each t itself: their kernels reduce each argument on
+        its own, so a t's corrections do not depend on the t computed with
+        it.  A residue that is not applied at a t takes the placeholder
+        argument 1."""
         if t.size == 0:
             return np.zeros(0, dtype=complex)
         p, lnX, fe = self.sp.p, math.log(self.X), self.L.fe
-        vals = self._point_tables(t)
-        npoles, npsi = len(self._poles), len(self._psi_poles)
         w0 = self._pole_locations - (self.sigma + 1j * t)
-        g = np.exp(vals[:npoles] + w0 * lnX) / p
-        psi = iter(vals[npoles:npoles + npsi])
+        w = w0 / p
+        applied = self._applied(t)
+        ratio_args, signs = _ratio_args(fe.gamma, self._x_k, t)
+        ratio_args = np.where(applied, ratio_args, 1.0)
+        _check_poles(w)
+        _check_poles(ratio_args)
+        g = np.exp(_log_gamma_vec(w) + w0 * lnX) / p
         corr = np.zeros(t.shape, dtype=complex)
-        for pole, gj in zip(self._poles, g):
+        for pole, wj, gj in zip(self._poles, w, g):
             if pole.order == 1:
                 corr += pole.leading[0] * gj
             else:
-                corr += pole.leading[0] * gj * (next(psi) / p + lnX) + pole.leading[1] * gj
+                corr += (pole.leading[0] * gj * (_digamma_vec(wj) / p + lnX)
+                         + pole.leading[1] * gj)
 
-        log_ratio = vals[npoles + npsi:]
+        log_ratio = np.sum(signs * _log_gamma_vec(ratio_args), axis=0)
         resid = self._const_k * np.exp(log_ratio - 2j * t * math.log(fe.Q)) * ft
-        return corr + np.sum(np.where(self._applied(t), resid, 0.0), axis=0)
+        return corr + np.sum(np.where(applied, resid, 0.0), axis=0)

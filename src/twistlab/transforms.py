@@ -49,7 +49,7 @@ import numpy as np
 from .errors import BudgetError, PoleError, ResonanceError
 from .evaluate import SmoothedLineEvaluator
 from .model import LSeriesInstance, SmoothingParams
-from .oscillatory import integrate_oscillatory
+from .oscillatory import PhaseFamily, integrate_oscillatory
 from .summation import compensated_sum
 
 #: the transform routes, in the order reports and outputs list them
@@ -99,7 +99,9 @@ def H_direct(L: LSeriesInstance, alpha: float, T: float, sp: SmoothingParams,
     unless force=True."""
     d = _require_transform_degree(L)
     budget = _budget()
-    a, b = 2.0 * alpha * T, 3.0 * alpha * T
+    # the resonance phase d t log(t/(e alpha)) is I_n's phase at n = 1
+    pf = PhaseFamily(alpha, 1, d)
+    a, b = pf.interval(T)
     for pole in L.fe.poles:
         if abs(pole.location.real - 0.5) < 1e-6 and a - 1e-6 <= pole.location.imag <= b + 1e-6:
             raise PoleError(f"pole of {L.name!r} on the integration segment")
@@ -112,15 +114,8 @@ def H_direct(L: LSeriesInstance, alpha: float, T: float, sp: SmoothingParams,
             f"H_direct estimated cost {cost:.2e} exceeds budget "
             f"{budget:.2e}; pass force=True or raise TWISTLAB_BUDGET")
     tol = max(1e-8, 1e-4 * T)
-
-    def phase(t):
-        return d * t * (np.log(t / alpha) - 1.0) - math.pi / 4.0
-
-    def dphase(t):
-        return d * np.log(t / alpha)
-
-    res = integrate_oscillatory(phase, (a, b), tol, dphase=dphase,
-                                amplitude=line.values)
+    res = integrate_oscillatory(lambda t: pf.f(t) - math.pi / 4.0, (a, b), tol,
+                                dphase=pf.fprime, amplitude=line.values)
     return res.value / math.sqrt(alpha)
 
 

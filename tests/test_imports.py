@@ -1,8 +1,10 @@
 """Source hygiene: every imported name in the library and the tests is used,
-the library imports nothing but numpy and the standard library, and every
-name the package exports has a caller outside the tests."""
+the library imports nothing but numpy and the standard library, every
+name the package exports has a caller outside the tests, and every private
+function or method of the library has a caller in the library."""
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -82,11 +84,15 @@ def test_library_imports_only_numpy_and_stdlib(path):
     assert not found, "undeclared dependencies: " + ", ".join(found)
 
 
+def names_read(tree):
+    """Every name read under `tree`, bare or as an attribute, with repeats."""
+    return [node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+
+
 def referenced_names(source: str):
     """Every name the module reads, bare or as an attribute."""
-    return {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.Name, ast.Attribute))}
+    return set(names_read(ast.parse(source)))
 
 
 def test_every_export_has_a_caller():
@@ -99,3 +105,40 @@ def test_every_export_has_a_caller():
     used = set().union(*(referenced_names(p.read_text()) for p in callers))
     orphans = sorted(exported - used)
     assert not orphans, "exports no module calls: " + ", ".join(orphans)
+
+
+def unreferenced_private_defs(sources):
+    """(module, line, name) of each private function or method (a leading
+    underscore, not a dunder) that no code outside its own body references,
+    bare or as an attribute, in any of `sources` (a module -> text map)."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    everywhere = Counter(name for tree in trees.values() for name in names_read(tree))
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")
+                    and everywhere[node.name] == names_read(node).count(node.name)):
+                found.append((module, node.lineno, node.name))
+    return found
+
+
+def test_checker_finds_unreferenced_private_defs():
+    sources = {
+        "a.py": ("def _used():\n    return 1\n\n"
+                 "def _only_itself(n):\n    return _only_itself(n - 1)\n\n"
+                 "class C:\n    def __init__(self):\n        self._m()\n\n"
+                 "    def _m(self):\n        pass\n\n"
+                 "    def _dead(self):\n        pass\n"),
+        "b.py": "from .a import _used\nprint(_used())\n",
+    }
+    assert unreferenced_private_defs(sources) == [
+        ("a.py", 4, "_only_itself"), ("a.py", 14, "_dead")]
+
+
+def test_every_private_def_is_referenced():
+    package = ROOT / "src" / "twistlab"
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    found = [f"{module}:{line}: {name}"
+             for module, line, name in unreferenced_private_defs(sources)]
+    assert not found, "private definitions nothing in src/ uses: " + ", ".join(found)
