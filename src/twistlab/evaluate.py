@@ -17,17 +17,19 @@ tail_bound 1.1e-12 (ROADMAP open item 2).
 
 The series are summed by Taylor blocks (Odlyzko-Schoenhage, Trans. AMS 309,
 1988; Hiary, Ann. of Math. 174, 2011): each t is snapped to the nearest
-centre m on the grid of multiples of the evaluator's `spacing`, one complex
-exponential e^{-im ln n} is formed per (centre, term), and the remaining
-factor e^{-i(t-m) ln n} is a short Taylor series in t - m whose coefficients
-are BLAS products of that phase block with moment tables
-c_n (ln n - lambda)^k.  The evaluator keeps every centre's products, so a
-later call on the same centres (the next quadrature level) pays only Horner
-steps, and a t's value does not depend on the calls made before.  The
-corrections take log Gamma and psi at each t itself: with one-period
-quadrature panels there are about as many nodes as centres.  A single t is
-summed directly: one phase row and one numpy sum per series, in a fixed
-order that does not depend on the BLAS thread count.
+centre m on the grid of multiples of the evaluator's `spacing`, one phase
+entry e^{-im ln n} is formed per (centre, term), and the remaining factor
+e^{-i(t-m) ln n} is a short Taylor series in t - m whose coefficients are
+BLAS products of that phase block with moment tables c_n (ln n - lambda)^k.
+The phase is completely multiplicative in n, so a phase entry is an
+exponential at each prime n and one product at each composite (the sieve
+behind Odlyzko-Schoenhage evaluation of zeta).  The evaluator keeps every
+centre's products, so a later call on the same centres (the next quadrature
+level) pays only Horner steps, and a t's value does not depend on the calls
+made before.  The corrections take log Gamma and psi at each t itself: with
+one-period quadrature panels there are about as many nodes as centres.  A
+single t is summed directly: one phase row and one numpy sum per series, in a
+fixed order that does not depend on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -53,8 +55,9 @@ _MIN_T_FOR_FE_CORRECTION = 2.0
 # and r = max|u| * max|ln n - lambda| <= _TAYLOR_RADIUS, so rounding grows by
 # at most e^r over the dense sum.
 _TAYLOR_RADIUS = 2.0
-# rows of the phase block (one per centre) formed at a time
-_BLOCK = 448
+# rows of the phase block (one per centre) formed at a time: 32 measured as
+# fast as 64 on the benchmark's transforms, with a smaller peak
+_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -227,6 +230,63 @@ def reference_zeta(s: complex) -> complex:
 # The smoothed evaluator
 # ---------------------------------------------------------------------------
 
+# e^{-it ln n} is completely multiplicative in n, so _phase_rows takes an
+# exponential only at the primes.  The plan holds, for n = 1..size, the
+# columns n - 1 of the primes, of spf(n) (the smallest prime factor) and of
+# n / spf(n).  It is grown to the longest width asked for and published by
+# one assignment (a concurrent call at worst builds it again); a shorter width
+# takes prefix slices.  spf is unique, so an entry's bits do not depend on the
+# widths asked for before.  One plan serves every evaluator, so its memory,
+# about 16 bytes per n, is paid once.
+_sieve = (np.empty(0, dtype=np.intp),) * 3
+
+
+def _sieve_plan(width: int):
+    global _sieve
+    plan = _sieve
+    if plan[1].size < width:
+        spf = np.zeros(width + 1, dtype=np.intp)
+        for p in range(2, math.isqrt(width) + 1):
+            if not spf[p]:
+                multiples = spf[p * p::p]
+                multiples[multiples == 0] = p
+        n = np.arange(width + 1)
+        prime = spf == 0
+        spf[prime] = n[prime]
+        _sieve = plan = (np.flatnonzero(prime[2:]) + 1, spf[1:] - 1,
+                         n[1:] // spf[1:] - 1)
+    primes, spf, cofactor = plan
+    return primes[:np.searchsorted(primes, width)], spf[:width], cofactor[:width]
+
+
+def _phase_rows(t: np.ndarray, lnn: np.ndarray) -> np.ndarray:
+    """e^{-it ln n}, n = 1..lnn.size, one row per t.  Cosine and sine of
+    t ln p are taken at the primes p only; then each dyadic block [M, 2M)
+    of n is formed in one step as the product of the entries at spf(n) and
+    n / spf(n).  For a composite both lie below M; a prime takes its own
+    entry times the 1 at n = 1, which is exact.  The block is built with
+    one row per n, so each gather moves whole rows, and is returned with
+    one contiguous row per t."""
+    width = lnn.size
+    primes, spf, cofactor = _sieve_plan(width)
+    by_n = np.empty((width, t.size), dtype=complex)
+    arg = np.multiply.outer(lnn[primes], -t)
+    at_primes = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=at_primes.real)
+    np.sin(arg, out=at_primes.imag)
+    by_n[primes] = at_primes
+    by_n[0] = 1.0
+    # one t: gather from the 1-d view, which numpy does about twice as fast
+    entries = by_n[:, 0] if t.size == 1 else by_n
+    M = 2
+    while M <= width:
+        block = slice(M - 1, min(2 * M, width + 1) - 1)
+        np.multiply(entries[spf[block]], entries[cofactor[block]],
+                    out=entries[block])
+        M *= 2
+    return np.ascontiguousarray(by_n.T)
+
+
 class SmoothedLineEvaluator:
     """F(sigma + it) on many t at once with a fixed cutoff X, sharing
     precomputed tables.
@@ -246,8 +306,9 @@ class SmoothedLineEvaluator:
     certified remainder is below 2^-53.  Each centre's sums are formed once
     and kept for the evaluator's lifetime, so values do not depend on call
     history; the corrections take log Gamma and psi at every t.  `width` is
-    the longest series, and `phase_evals` counts the phase exponentials
-    computed so far, `width` per centre formed or single t summed.
+    the longest series, and `phase_evals` counts the phase entries formed
+    so far (an exponential at each prime n, one product at each
+    composite), `width` per centre formed or single t summed.
     """
 
     def __init__(self, L: LSeriesInstance, sp: SmoothingParams,
@@ -342,13 +403,13 @@ class SmoothedLineEvaluator:
 
     def _form_sums(self, centres: np.ndarray):
         """S_k(m) / k!, k < _ORDER, of every series at the centres m, as one
-        (order, series, centres) array: the phase block e^{-im ln n} has one
-        row per centre, and each S_k is its product with a moment table,
-        taken one centre at a time so that a centre's S_k do not depend on
-        the centres formed with it."""
+        (order, series, centres) array: the phase block e^{-im ln n}
+        (_phase_rows) has one row per centre, and each S_k is its product
+        with a moment table, taken one centre at a time so that a centre's
+        S_k do not depend on the centres formed with it."""
         S = np.empty((_ORDER, len(self._moments), centres.size), dtype=complex)
         for lo in range(0, centres.size, _BLOCK):
-            phases = np.exp(-1j * np.outer(centres[lo:lo + _BLOCK], self._lnn))
+            phases = _phase_rows(centres[lo:lo + _BLOCK], self._lnn)
             self.phase_evals += phases.size
             for i, moment in enumerate(self._moments):
                 rows = phases[:, None, :moment.shape[0]] @ moment
@@ -357,10 +418,10 @@ class SmoothedLineEvaluator:
 
     def _series_sums(self, t: np.ndarray) -> np.ndarray:
         """Every series sum_n c_n e^{-it ln n} at every t, one row per
-        series.  A lone t is its own centre: one phase row, summed by numpy
-        in an order that does not depend on the BLAS thread count, and not
-        cached.  Otherwise by Taylor blocks: with m = rint(t / spacing)
-        spacing the centre of t and u = t - m,
+        series.  A lone t is its own centre: one phase row (_phase_rows),
+        summed by numpy in an order that does not depend on the BLAS thread
+        count, and not cached.  Otherwise by Taylor blocks: with
+        m = rint(t / spacing) spacing the centre of t and u = t - m,
 
             sum_n c_n e^{-it ln n} = e^{-iu lambda} sum_{k<K} (-iu)^k S_k(m)/k!,
             S_k(m) = sum_n c_n (ln n - lambda)^k e^{-im ln n}.
@@ -370,7 +431,7 @@ class SmoothedLineEvaluator:
         if t.size == 0:
             return np.empty((len(self._coefs), 0), dtype=complex)
         if t.size == 1:
-            phases = np.exp(-1j * np.outer(t, self._lnn))
+            phases = _phase_rows(t, self._lnn)
             self.phase_evals += phases.size
             return np.array([np.sum(phases[:, :coef.size] * coef, axis=-1)
                              for coef in self._coefs])

@@ -117,10 +117,14 @@ def integrate_oscillatory(phase: Callable, K: Tuple[float, float], tol: float,
 
     def level(n: int) -> complex:
         nodes, weights = _panel_nodes(a, b, n)
-        vals = np.exp(1j * phase(nodes))
+        theta = phase(nodes)
+        vals = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=vals.real)
+        np.sin(theta, out=vals.imag)
         if amplitude is not None:
-            vals = vals * amplitude(nodes)
-        return complex(np.sum(weights * vals))
+            vals *= amplitude(nodes)
+        vals *= weights
+        return complex(np.sum(vals))
 
     prev = level(n_panels)
     while True:

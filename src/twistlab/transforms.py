@@ -84,17 +84,17 @@ def _require_transform_degree(L: LSeriesInstance) -> float:
 
 
 def _phase_estimate(line: SmoothedLineEvaluator, a: float, b: float) -> float:
-    """Phase exponentials H_direct expects `line` to compute on [a, b]: one
-    per term and centre, with the centres `line.spacing` apart.  The line
-    keeps each centre's sums, so every quadrature level after the first
-    reuses them."""
+    """Phase entries H_direct expects `line` to form on [a, b]: one per
+    term and centre, with the centres `line.spacing` apart (an exponential
+    at each prime n, one product at each composite).  The line keeps each
+    centre's sums, so every quadrature level after the first reuses them."""
     return line.width * ((b - a) / line.spacing + 1.0)
 
 
 def H_direct(L: LSeriesInstance, alpha: float, T: float, sp: SmoothingParams,
              force: bool = False) -> complex:
     """Direct quadrature route.  Cost is the line evaluator's phase
-    exponentials (see _phase_estimate); configurations whose estimate
+    entries (see _phase_estimate); configurations whose estimate
     exceeds the operation budget (TWISTLAB_BUDGET, default 1e9) are refused
     unless force=True."""
     d = _require_transform_degree(L)
