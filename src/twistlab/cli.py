@@ -273,9 +273,14 @@ def _cmd_transform(args) -> int:
     routes = [r for r in ROUTES if r in requested]
     pairs = list(itertools.combinations(routes, 2))
     sp = _smoothing(args)
+    # a_m builds the table a_1..a_m: read it once, not once per T (an
+    # m < 1 is left to run_transform, which refuses it)
+    a_m = (L.coefficients.coefficient(args.m)
+           if "fe" in requested and args.m >= 1 else None)
     rows = []
     for T in parse_grid(args.T_grid):
-        rep = run_transform(L, args.m, T, sp, routes=requested, force=args.force)
+        rep = run_transform(L, args.m, T, sp, routes=requested, force=args.force,
+                            a_m=a_m)
         value = dict(zip(ROUTES, (rep.direct, rep.sum_side, rep.fe_side)))
         rows.append((_fmt(T), *(x for r in routes for x in _fmt_complex(value[r])),
                      *(_fmt(rep.deviations[f"{a}-{b}"]) for a, b in pairs)))

@@ -1,9 +1,10 @@
 """Coefficient providers a_n for the preset series, plus combinators.
 
-Every provider is deterministic and total for n >= 1, and bulk(N) agrees
-with pointwise coefficient(n) bit-for-bit.  The Dirichlet convolution splits
-the divisor pairs d e = n by Dirichlet's hyperbola method, d <= e first and
-then d > e, and both routes add the pairs in that one order.  Each provider
+Every provider is deterministic and total for n >= 1.  Each computes its
+coefficients in one place, bulk(N); the pointwise coefficient(n) reads a_n
+from bulk(n), and bulk(M) is the first M values of bulk(N).  The Dirichlet
+convolution splits the divisor pairs d e = n by Dirichlet's hyperbola method
+and adds the pairs with d <= e first, then those with d > e.  Each provider
 carries a magnitude bound |a_n| <= K n^c used by the evaluators' truncation
 rule.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -41,29 +42,25 @@ class CoefficientTable:
 
 
 class CoefficientProvider:
-    """Base class: deterministic pointwise access plus bulk generation."""
+    """Base class: subclasses generate a_1..a_N in bulk(N), and
+    coefficient(n) reads a_n from that table."""
 
     #: (K, c) with |a_n| <= K n^c, used for truncation majorants.
     mag_bound: Tuple[float, float] = (1.0, 0.0)
 
     def coefficient(self, n: int) -> complex:
-        raise NotImplementedError
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        return complex(self.bulk(n).values[n - 1])
 
     def bulk(self, N: int) -> CoefficientTable:
-        N = _guard_bulk(N)
-        return CoefficientTable(np.array(
-            [self.coefficient(n) for n in range(1, N + 1)], dtype=complex))
+        raise NotImplementedError
 
 
 class OnesProvider(CoefficientProvider):
     """a_n = 1 (the Riemann zeta coefficients)."""
 
     mag_bound = (1.0, 0.0)
-
-    def coefficient(self, n: int) -> complex:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return 1.0 + 0.0j
 
     def bulk(self, N: int) -> CoefficientTable:
         N = _guard_bulk(N)
@@ -76,11 +73,6 @@ class PeriodicProvider(CoefficientProvider):
     def __init__(self, pattern: Sequence[complex]):
         self.pattern = tuple(complex(v) for v in pattern)
         self.mag_bound = (max(abs(v) for v in self.pattern) or 1.0, 0.0)
-
-    def coefficient(self, n: int) -> complex:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return self.pattern[(n - 1) % len(self.pattern)]
 
     def bulk(self, N: int) -> CoefficientTable:
         N = _guard_bulk(N)
@@ -96,13 +88,6 @@ class TableProvider(CoefficientProvider):
         self._values = np.asarray(list(values), dtype=complex)
         peak = float(np.max(np.abs(self._values))) if len(self._values) else 0.0
         self.mag_bound = (peak or 1.0, 0.0)
-
-    def coefficient(self, n: int) -> complex:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if n <= len(self._values):
-            return complex(self._values[n - 1])
-        return 0.0 + 0.0j
 
     def bulk(self, N: int) -> CoefficientTable:
         N = _guard_bulk(N)
@@ -120,11 +105,6 @@ class VerticalShiftProvider(CoefficientProvider):
         self.delta = float(delta)
         K, c = base.mag_bound
         self.mag_bound = (K, c - self.delta)
-
-    def coefficient(self, n: int) -> complex:
-        # the array power of bulk: a scalar power rounds differently
-        return self.base.coefficient(n) * (np.array([n], dtype=float)
-                                           ** (-self.delta))[0]
 
     def bulk(self, N: int) -> CoefficientTable:
         N = _guard_bulk(N)
@@ -146,39 +126,26 @@ class ArgumentScaleProvider(CoefficientProvider):
         K, c = base.mag_bound
         self.mag_bound = (K, (c + self.delta) / self.k)
 
-    def _root(self, n: int) -> Optional[int]:
-        r = round(n ** (1.0 / self.k))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 1 and cand ** self.k == n:
-                return cand
-        return None
-
-    def coefficient(self, n: int) -> complex:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        r = self._root(n)
-        if r is None:
-            return 0.0 + 0.0j
-        return self.base.coefficient(r) * float(r) ** self.delta
-
     def bulk(self, N: int) -> CoefficientTable:
         N = _guard_bulk(N)
+        R = 1  # the largest R with R^k <= N
+        while (R + 1) ** self.k <= N:
+            R += 1
+        base = self.base.bulk(R).values
         out = np.zeros(N, dtype=complex)
-        r = 1
-        while r ** self.k <= N:
-            out[r ** self.k - 1] = self.base.coefficient(r) * float(r) ** self.delta
-            r += 1
+        for r in range(1, R + 1):
+            out[r ** self.k - 1] = base[r - 1] * float(r) ** self.delta
         return CoefficientTable(out)
 
 
 class DirichletConvolutionProvider(CoefficientProvider):
     """a_n = sum_{de=n} p1(d) p2(e), split at the hyperbola d = e.
 
-    Both routes add the pairs with d <= e for d ascending, then the pairs
-    with d > e for e ascending.  bulk(N) does each half as one strided
-    numpy add per d (or e) up to isqrt(N): 2 sqrt(N) Python steps and
-    O(N log N) numpy work.  The split depends only on n, so bulk(M) is the
-    first M values of bulk(N).
+    bulk(N) adds the pairs with d <= e for d ascending, then the pairs
+    with d > e for e ascending, each half as one strided numpy add per d
+    (or e) up to isqrt(N): 2 sqrt(N) Python steps and O(N log N) numpy
+    work.  The split depends only on n, so bulk(M) is the first M values
+    of bulk(N).
     """
 
     def __init__(self, p1: CoefficientProvider, p2: CoefficientProvider):
@@ -187,18 +154,6 @@ class DirichletConvolutionProvider(CoefficientProvider):
         K1, c1 = p1.mag_bound
         K2, c2 = p2.mag_bound
         self.mag_bound = (2.0 * K1 * K2, max(c1, c2) + 0.5)
-
-    def coefficient(self, n: int) -> complex:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        total = 0.0 + 0.0j
-        for d in range(1, math.isqrt(n) + 1):  # d <= e
-            if n % d == 0:
-                total += self.p1.coefficient(d) * self.p2.coefficient(n // d)
-        for e in range(1, math.isqrt(n - 1) + 1):  # d > e, i.e. e^2 < n
-            if n % e == 0:
-                total += self.p2.coefficient(e) * self.p1.coefficient(n // e)
-        return total
 
     def bulk(self, N: int) -> CoefficientTable:
         N = _guard_bulk(N)
@@ -260,20 +215,12 @@ class RamanujanTauProvider(CoefficientProvider):
         # so a concurrent reader sees either the old table or the new one
         self._table = np.empty(0)
 
-    def _ensure(self, N: int) -> np.ndarray:
+    def bulk(self, N: int) -> CoefficientTable:
+        N = _guard_bulk(N)
         table = self._table
         if len(table) < N:
             tau = tau_integers(N)
             n = np.arange(1, N + 1, dtype=float)
             table = np.fromiter(tau[1:], dtype=np.float64, count=N) / n ** 5.5
             self._table = table
-        return table
-
-    def coefficient(self, n: int) -> complex:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return complex(self._ensure(n)[n - 1])
-
-    def bulk(self, N: int) -> CoefficientTable:
-        N = _guard_bulk(N)
-        return CoefficientTable(self._ensure(N)[:N].astype(complex))
+        return CoefficientTable(table[:N].astype(complex))

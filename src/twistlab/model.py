@@ -21,6 +21,10 @@ from .errors import ResonanceError
 _TOL = 1e-12
 
 
+def _finite(z: complex) -> bool:
+    return math.isfinite(z.real) and math.isfinite(z.imag)
+
+
 def _as_complex_pairs(seq) -> Tuple[Tuple[float, complex], ...]:
     out = []
     for lam, mu in seq:
@@ -30,7 +34,7 @@ def _as_complex_pairs(seq) -> Tuple[Tuple[float, complex], ...]:
         if not math.isfinite(lam):
             raise ValueError("gamma-factor slope must be finite")
         mu = complex(mu)
-        if not (math.isfinite(mu.real) and math.isfinite(mu.imag)):
+        if not _finite(mu):
             raise ValueError("gamma-factor shift must be finite")
         out.append((lam, mu))
     return tuple(out)
@@ -67,11 +71,16 @@ class PoleData:
     leading: Tuple[complex, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "location", complex(self.location))
+        loc = complex(self.location)
+        if not _finite(loc):
+            raise ValueError(f"pole location must be finite, got {loc}")
+        object.__setattr__(self, "location", loc)
         if int(self.order) < 1:
             raise ValueError("pole order must be a positive integer")
         object.__setattr__(self, "order", int(self.order))
         lead = tuple(complex(c) for c in self.leading)
+        if not all(_finite(c) for c in lead):
+            raise ValueError(f"pole leading Laurent data must be finite, got {lead}")
         if lead and len(lead) != self.order:
             raise ValueError("leading Laurent data must have `order` entries")
         object.__setattr__(self, "leading", lead)
@@ -87,10 +96,13 @@ class FunctionalEquationData:
     poles: Tuple[PoleData, ...] = ()
 
     def __post_init__(self):
-        if not float(self.Q) > 0.0:
-            raise ValueError("Q must be positive")
-        object.__setattr__(self, "Q", float(self.Q))
+        Q = float(self.Q)
+        if not (math.isfinite(Q) and Q > 0.0):
+            raise ValueError(f"Q must be finite and > 0, got {Q}")
+        object.__setattr__(self, "Q", Q)
         om = complex(self.omega)
+        if not _finite(om):
+            raise ValueError(f"omega must be finite, got {om}")
         if abs(abs(om) - 1.0) > _TOL:
             raise ValueError(f"|omega| must be 1 to {_TOL}, got {abs(om)}")
         object.__setattr__(self, "omega", om)
@@ -105,8 +117,6 @@ class DerivedInvariants:
     A: float
     B: float
     C: float
-    mu_sum: complex
-    mu_prime_sum: complex
 
 
 @dataclass(frozen=True)
@@ -131,8 +141,8 @@ class SmoothingParams:
             raise ValueError(f"rho must be finite and > 0, got {self.rho}")
         if not (0.0 < self.epsilon <= 1e-3):
             raise ValueError("epsilon must lie in (0, 1e-3]")
-        if self.X is not None and not self.X > 0.0:
-            raise ValueError("X must be positive when given")
+        if self.X is not None and not (math.isfinite(self.X) and self.X > 0.0):
+            raise ValueError(f"X must be finite and > 0 when given, got {self.X}")
 
     def with_X(self, X: float) -> "SmoothingParams":
         return replace(self, X=float(X))
@@ -218,7 +228,7 @@ def stirling_constants(spec: GammaFactorSpec) -> DerivedInvariants:
     real_part = d / 2.0 + (mu + mu.conjugate()) - (mup + mup.conjugate()) - (r - rp)
     B = _assert_real(-1j * log_part - (math.pi / 2.0) * real_part, "B")
 
-    return DerivedInvariants(d=d, A=A, B=B, C=C, mu_sum=mu, mu_prime_sum=mup)
+    return DerivedInvariants(d=d, A=A, B=B, C=C)
 
 
 def resonance_alpha(m: int, inv: DerivedInvariants, Q: float) -> float:

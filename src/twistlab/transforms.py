@@ -171,13 +171,17 @@ def kappa(L: LSeriesInstance, alpha: float, m: int,
             * m ** -0.5 * alpha ** (0.5 + 1j * inv.A) * _jm_factor(inv.A))
 
 
-def H_fe_side(L: LSeriesInstance, T: float, kap: complex, m: int) -> complex:
-    """kappa conj(a_m) T^{1+iA}."""
+def H_fe_side(L: LSeriesInstance, T: float, kap: complex, m: int,
+              a_m: Optional[complex] = None) -> complex:
+    """kappa conj(a_m) T^{1+iA}.  `a_m` is read from L when not given;
+    reading it builds the table a_1..a_m, so a caller with many T reads it
+    once and passes it."""
     if T == 0.0:
         return 0.0 + 0.0j
     if T < 0.0:
         raise ValueError("T must be nonnegative")
-    a_m = L.coefficients.coefficient(m)
+    if a_m is None:
+        a_m = L.coefficients.coefficient(m)
     if abs(a_m) == 0.0:
         raise ResonanceError(f"a_{m} vanishes for {L.name!r}")
     A = L.invariants().A
@@ -191,10 +195,12 @@ def _pair_dev(x: complex, y: complex) -> float:
 
 def run_transform(L: LSeriesInstance, m: int, T: float, sp: SmoothingParams,
                   routes: Sequence[str] = ROUTES,
-                  force: bool = False) -> TransformReport:
+                  force: bool = False,
+                  a_m: Optional[complex] = None) -> TransformReport:
     """Evaluate the requested H routes (names from ROUTES) at one T and
     report pairwise relative deviations |a - b| / max(|a|, |b|), keyed
-    "a-b" in ROUTES order."""
+    "a-b" in ROUTES order.  `a_m` is the fe route's coefficient, as in
+    H_fe_side."""
     for r in routes:
         if r not in ROUTES:
             raise ValueError(f"unknown route {r!r}")
@@ -205,7 +211,7 @@ def run_transform(L: LSeriesInstance, m: int, T: float, sp: SmoothingParams,
     if "sum" in routes:
         values["sum"] = H_sum_side(L, alpha, T, sp)
     if "fe" in routes:
-        values["fe"] = H_fe_side(L, T, kappa(L, alpha, m), m)
+        values["fe"] = H_fe_side(L, T, kappa(L, alpha, m), m, a_m)
     devs = {f"{r1}-{r2}": _pair_dev(values[r1], values[r2])
             for r1, r2 in itertools.combinations(values, 2)}
     return TransformReport(T=T, direct=values.get("direct"),

@@ -130,6 +130,7 @@ class TestExitCodes:
         ["coeffs", "--preset", "zeta", "--bulk", "0"],
         ["coeffs", "--preset", "zeta", "--n", "0"],
         ["eval", "--preset", "zeta", "--sigma", "0.5", "--t", "30", "--X", "-1"],
+        ["eval", "--preset", "zeta", "--sigma", "0.5", "--t", "20", "--X", "inf"],
         ["eval", "--preset", "zeta", "--sigma", "0.5", "--t", "30",
          "--epsilon", "1"],
         ["summatory", "--preset", "zeta", "--X-grid", "2^3:2^4"],
@@ -153,7 +154,7 @@ class TestExitCodes:
         ["eval", "--preset", "zeta", "--sigma=-inf", "--t", "10"],
         ["gamma-check", "--preset", "zeta", "--x", "nan", "--t-grid", "20"],
         ["osc", "--d", "1", "--alpha", "6.28", "--T", "inf", "--n", "1:3"],
-    ], ids=["bulk-0", "n-0", "X-negative", "epsilon-1", "short-grid",
+    ], ids=["bulk-0", "n-0", "X-negative", "X-inf", "epsilon-1", "short-grid",
             "rho-negative", "rho-nan", "rho-0", "alpha-nan", "alpha-negative",
             "alpha-0", "alpha-inf", "p-inf", "p-1e9", "certify-T-inf",
             "twist-T-inf", "summatory-X-inf", "transform-T-inf",
@@ -197,6 +198,20 @@ class TestExitCodes:
         code, _, _ = run(capsys, "gamma-check", *instance, "--x", "2.0",
                          "--t-grid", str(t))
         assert code == exit_code
+
+    @pytest.mark.parametrize("argv", [
+        ("coeffs", "--n", "20000000"),
+        ("transform", "--m", "20000000", "--routes", "fe", "--T-grid", "20"),
+        ("certify", "--m", "20000000", "--T-grid", "2^5:2^6"),
+    ], ids=["coeffs-n", "transform-m", "certify-m"])
+    def test_coefficient_past_the_table_cap(self, capsys, argv):
+        # coefficient(n) reads bulk(n), so a_n for `coeffs --n` and a_m for
+        # the fe route and the certificate share the 1e7 table cap
+        code, out, err = run(capsys, *argv[:1], "--preset", "zeta", *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err == ("computation error: coefficient table of length 20000000 "
+                       "exceeds the 1e7 cap\n")
 
     def test_computation_error_pole(self, capsys):
         code, _, err = run(capsys, "eval", "--preset", "zeta",
@@ -278,6 +293,18 @@ class TestOutputs:
         assert code == 0
         assert "kappa calibrated" in out
 
+    def test_transform_reads_a_m_once(self, capsys, monkeypatch):
+        # a_m costs the table a_1..a_m, so the fe route reads it once per
+        # command, not once per T
+        prov = get_preset("zeta-sq").coefficients
+        bulk, lengths = prov.bulk, []
+        monkeypatch.setattr(prov, "bulk", lambda N: lengths.append(N) or bulk(N))
+        code, out, _ = run(capsys, "transform", "--preset", "zeta-sq", "--m", "6",
+                           "--routes", "fe", "--T-grid", "5:10:3")
+        assert code == 0
+        assert len([line for line in out.splitlines() if line[0].isdigit()]) == 3
+        assert lengths == [6]
+
     def test_twist_scan_slope_trailer(self, capsys):
         code, out, _ = run(capsys, "twist-scan", "--preset", "zeta",
                            "--alpha", "auto", "--T-grid", "2^5:2^9")
@@ -326,6 +353,33 @@ class TestCustomConfig:
         L = load_instance(str(CONFIGS / "custom-example.json"))
         assert L.name == "custom-example"
         assert L.invariants().d == 1.0
+
+    # json reads NaN and Infinity; NaN once passed the |omega| = 1 check and
+    # an infinite Q or Laurent coefficient gave nan or inf values with exit 0
+    @pytest.mark.parametrize("field, value, message", [
+        ("omega", [float("nan"), 0.0], "omega must be finite"),
+        ("Q", float("inf"), "Q must be finite"),
+        ("Q", float("nan"), "Q must be finite"),
+        ("leading", [[float("inf"), 0.0]], "pole leading Laurent data must be finite"),
+        ("location", [float("nan"), 0.0], "pole location must be finite"),
+    ], ids=["omega-nan", "Q-inf", "Q-nan", "leading-inf", "location-nan"])
+    @pytest.mark.parametrize("argv", [["describe"],
+                                      ["eval", "--sigma", "0.5", "--t", "20"]],
+                             ids=["describe", "eval"])
+    def test_config_refuses_non_finite(self, tmp_path, capsys, field, value,
+                                       message, argv):
+        cfg = json.loads(json.dumps(PRESET_CONFIGS["zeta"]))
+        if field in ("Q", "omega"):
+            cfg[field] = value
+        else:
+            cfg["poles"][0][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, *argv, "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: bad config ")
+        assert message in err
 
     def test_malformed_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

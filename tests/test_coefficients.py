@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistlab.coefficients import (ArgumentScaleProvider,
+from twistlab.coefficients import (ArgumentScaleProvider, CoefficientProvider,
                                    DirichletConvolutionProvider, OnesProvider,
                                    PeriodicProvider, RamanujanTauProvider,
                                    TableProvider, VerticalShiftProvider,
                                    tau_integers)
 from twistlab.errors import BudgetError
-from twistlab import exactconv
+from twistlab import coefficients, exactconv
 from twistlab.exactconv import conv_exact, limb_width
 from twistlab.presets import PRESET_NAMES, get_preset
 
@@ -42,6 +42,70 @@ def divisor_count(n: int) -> int:
             c += 1 if i * i == n else 2
         i += 1
     return c
+
+
+def integer_root(n: int, k: int) -> int:
+    """The largest r with r^k <= n, by bisection on integers."""
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid ** k <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+class TestOneRoute:
+    def test_no_provider_defines_its_own_coefficient(self):
+        # each provider computes a_n once, in bulk; coefficient(n) is the
+        # base class's read of bulk(n), so the two cannot disagree
+        providers = [cls for cls in vars(coefficients).values()
+                     if isinstance(cls, type) and issubclass(cls, CoefficientProvider)
+                     and cls is not CoefficientProvider]
+        assert providers
+        own = [cls.__name__ for cls in providers if "coefficient" in cls.__dict__]
+        assert own == []
+
+    @pytest.mark.parametrize("name", ["zeta-sq", "zeta-shift-pair"])
+    def test_convolution_is_the_divisor_sum(self, name):
+        # the oracle for the strided sweep: a_n = sum p1(d) p2(n/d) over the
+        # divisor pairs of n, d <= n/d for d ascending, then d > n/d for
+        # n/d ascending, read from the two factor tables
+        prov = get_preset(name).coefficients
+        N = 10 ** 4
+        t1 = prov.p1.bulk(N).values.tolist()
+        t2 = prov.p2.bulk(N).values.tolist()
+        divisors = [[] for _ in range(N + 1)]
+        for d in range(1, N + 1):
+            for m in range(d, N + 1, d):
+                divisors[m].append(d)
+        want = []
+        for n in range(1, N + 1):
+            total = 0j
+            for d in divisors[n]:
+                if d * d <= n:
+                    total += t1[d - 1] * t2[n // d - 1]
+            for e in divisors[n]:
+                if e * e < n:
+                    total += t2[e - 1] * t1[n // e - 1]
+            want.append(total)
+        assert prov.bulk(N).values.tolist() == want
+
+    # r^{-1/2} is where a scalar and an array power round differently
+    @pytest.mark.parametrize("k, delta", [(2, -0.5), (3, 0.25), (5, 1.0)])
+    def test_argument_scale_support(self, k, delta):
+        base = PeriodicProvider((2.0, -1.0, 3.0))
+        prov = ArgumentScaleProvider(base, k, delta)
+        for N in (1, 2 ** k - 1, 2 ** k, 3 ** k + 1, 10 ** 4):
+            table = prov.bulk(N).values
+            R = integer_root(N, k)
+            roots = base.bulk(R).values
+            for n in range(1, N + 1):
+                r = integer_root(n, k)
+                want = roots[r - 1] * float(r) ** delta if r ** k == n else 0.0
+                assert table[n - 1] == want, (N, n)
+        assert integer_root(10 ** 4, 2) == 100 and integer_root(10 ** 4 - 1, 2) == 99
 
 
 class TestPointwise:

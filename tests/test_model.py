@@ -62,7 +62,6 @@ class TestStirlingConstants:
         assert inv.d == 2.0
         assert inv.C == pytest.approx(1.0)
         assert inv.B == pytest.approx(-11 * math.pi / 2, abs=1e-12)
-        assert inv.mu_sum == pytest.approx(5.5)
 
 
 class TestResonance:
@@ -75,11 +74,11 @@ class TestResonance:
         assert L.resonance_alpha(1) == pytest.approx(2 * math.pi, rel=1e-14)
 
     def test_simple_numbers(self):
-        inv = DerivedInvariants(d=2.0, A=0.0, B=0.0, C=1.0, mu_sum=0j, mu_prime_sum=0j)
+        inv = DerivedInvariants(d=2.0, A=0.0, B=0.0, C=1.0)
         assert resonance_alpha(4, inv, 1.0) == pytest.approx(2.0)
 
     def test_rejects_degree_zero(self):
-        inv = DerivedInvariants(d=0.0, A=0.0, B=0.0, C=1.0, mu_sum=0j, mu_prime_sum=0j)
+        inv = DerivedInvariants(d=0.0, A=0.0, B=0.0, C=1.0)
         with pytest.raises(ResonanceError):
             resonance_alpha(1, inv, 1.0)
 
@@ -87,7 +86,7 @@ class TestResonance:
            st.floats(1.0, 4.0))
     @settings(max_examples=50, deadline=None)
     def test_round_trip(self, m, C, Q, d):
-        inv = DerivedInvariants(d=d, A=0.0, B=0.0, C=C, mu_sum=0j, mu_prime_sum=0j)
+        inv = DerivedInvariants(d=d, A=0.0, B=0.0, C=C)
         alpha = resonance_alpha(m, inv, Q)
         assert C * Q * Q * alpha ** d == pytest.approx(m, rel=1e-12)
 
@@ -103,6 +102,28 @@ class TestValidation:
         gamma = GammaFactorSpec(((0.5, 0.0),))
         with pytest.raises(ValueError):
             FunctionalEquationData(Q=1.0, omega=1.5, gamma=gamma)
+
+    @pytest.mark.parametrize("Q, omega, field", [
+        (math.inf, 1.0, "Q"), (math.nan, 1.0, "Q"), (-math.inf, 1.0, "Q"),
+        (1.0, complex(math.nan, 0.0), "omega"), (1.0, complex(0.0, math.nan), "omega"),
+        (1.0, complex(math.inf, 0.0), "omega"),
+    ], ids=["Q-inf", "Q-nan", "Q-minus-inf", "omega-nan-re", "omega-nan-im",
+            "omega-inf"])
+    def test_fe_data_must_be_finite(self, Q, omega, field):
+        # NaN compares false, so |omega| = nan passed the |omega| = 1 check
+        gamma = GammaFactorSpec(((0.5, 0.0),))
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            FunctionalEquationData(Q=Q, omega=omega, gamma=gamma)
+
+    @pytest.mark.parametrize("location, leading, field", [
+        (complex(math.nan, 0.0), (), "location"),
+        (complex(1.0, math.inf), (), "location"),
+        (1.0, (complex(math.inf, 0.0),), "leading"),
+        (1.0, (complex(0.0, math.nan),), "leading"),
+    ], ids=["location-nan", "location-inf", "leading-inf", "leading-nan"])
+    def test_pole_data_must_be_finite(self, location, leading, field):
+        with pytest.raises(ValueError, match=f"pole {field} .*must be finite"):
+            PoleData(location, 1, leading)
 
     def test_sigma_a_floor(self):
         fe = get_preset("zeta").fe
@@ -125,5 +146,9 @@ class TestValidation:
         for rho in (math.nan, math.inf, -1.0, 0.0):
             with pytest.raises(ValueError, match="rho"):
                 SmoothingParams(rho=rho)
+        # refused here, or the truncation rule blames p for an infinite X
+        for X in (math.inf, math.nan, -1.0, 0.0):
+            with pytest.raises(ValueError, match="X must be finite and > 0"):
+                SmoothingParams(X=X)
         sp = SmoothingParams().with_X(100.0)
         assert sp.X == 100.0
