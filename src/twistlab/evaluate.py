@@ -18,10 +18,15 @@ tail_bound 1.1e-12 (ROADMAP open item 2).
 The series are summed by Taylor blocks (Odlyzko-Schoenhage, Trans. AMS 309,
 1988; Hiary, Ann. of Math. 174, 2011): each t is snapped to the nearest
 centre m on the grid of multiples of the evaluator's `spacing`, one phase
-entry e^{-im ln n} is formed per (centre, term), and the remaining factor
+row e^{-im ln n} is formed per centre, and the remaining factor
 e^{-i(t-m) ln n} is a short Taylor series in t - m whose coefficients are
-BLAS products of that phase block with moment tables c_n (ln n - lambda)^k.
-The phase is completely multiplicative in n, so a phase entry is an
+BLAS products of that row with real moment tables Re c_n (ln n - lambda)^k
+and Im c_n (ln n - lambda)^k (one table when c_n is real, as in every
+preset).  The centres form an arithmetic progression: the row of centre
+j = 32 J + r is an anchor row e^{-i 32 J spacing ln n} times row r of an
+offset block formed once per evaluator, with the spacing rounded down to 8
+significant bits so that both arguments are exact.  The phase is completely
+multiplicative in n, so each anchor row and the offset block take an
 exponential at each prime n and one product at each composite (the sieve
 behind Odlyzko-Schoenhage evaluation of zeta).  The evaluator keeps every
 centre's products, so a later call on the same centres (the next quadrature
@@ -55,8 +60,8 @@ _MIN_T_FOR_FE_CORRECTION = 2.0
 # and r = max|u| * max|ln n - lambda| <= _TAYLOR_RADIUS, so rounding grows by
 # at most e^r over the dense sum.
 _TAYLOR_RADIUS = 2.0
-# rows of the phase block (one per centre) formed at a time: 32 measured as
-# fast as 64 on the benchmark's transforms, with a smaller peak
+# centres per anchor row, and rows of each evaluator's offset block (see
+# SmoothedLineEvaluator._phase_products)
 _BLOCK = 32
 
 
@@ -302,13 +307,15 @@ class SmoothedLineEvaluator:
 
     `values` sums a single t directly and several t by Taylor blocks:
     centres at the multiples of `spacing`, so that |t - m| |ln n - lambda|
-    <= 2 with lambda = ln(width)/2, and the smallest order K whose
-    certified remainder is below 2^-53.  Each centre's sums are formed once
-    and kept for the evaluator's lifetime, so values do not depend on call
-    history; the corrections take log Gamma and psi at every t.  `width` is
-    the longest series, and `phase_evals` counts the phase entries formed
-    so far (an exponential at each prime n, one product at each
-    composite), `width` per centre formed or single t summed.
+    <= 2 with lambda = ln(width)/2 (the spacing 4/lambda rounded down to 8
+    significant bits), and the smallest order K whose certified remainder
+    is below 2^-53.  Each centre's sums are formed once and kept for the
+    evaluator's lifetime, so values do not depend on call history; the
+    corrections take log Gamma and psi at every t.  `width` is the longest
+    series, and `phase_evals` counts the phase entries formed so far (an
+    exponential at each prime n, one product at each composite, or one
+    anchor-times-offset product): `width` per single t summed, per centre
+    formed and per anchor row, and `_BLOCK * width` for the offset block.
     """
 
     def __init__(self, L: LSeriesInstance, sp: SmoothingParams,
@@ -349,7 +356,11 @@ class SmoothedLineEvaluator:
         # Taylor variable ln n - lambda: lambda centres it on [0, ln width],
         # so |ln n - lambda| <= lambda
         self._lam = 0.5 * math.log(width)
-        self.spacing = 2.0 * _TAYLOR_RADIUS / self._lam
+        # rounded down to 8 significant bits, so that a centre j spacing and
+        # the parts (j - r) spacing and r spacing of its phase row are exact
+        # (_phase_products)
+        mantissa, exponent = math.frexp(2.0 * _TAYLOR_RADIUS / self._lam)
+        self.spacing = math.ldexp(math.floor(mantissa * 256.0) / 256.0, exponent)
         self.phase_evals = 0
         self._pole_locations = np.array(
             [pole.location for pole in self._poles], dtype=complex)[:, None]
@@ -388,7 +399,7 @@ class SmoothedLineEvaluator:
         wanted = np.setdiff1d(index, known)
         if wanted.size:
             known = np.concatenate([known, wanted])
-            S = np.concatenate([S, self._form_sums(wanted * self.spacing)], axis=-1)
+            S = np.concatenate([S, self._form_sums(wanted)], axis=-1)
             order_by = np.argsort(known, kind="stable")
             known, S = known[order_by], S[..., order_by]
             self._cache = (known, S)
@@ -396,24 +407,65 @@ class SmoothedLineEvaluator:
 
     @functools.cached_property
     def _moments(self):
-        """Each series' moment table c_n (ln n - lambda)^k / k!, k < _ORDER."""
+        """Each series' moment tables: for the real and the imaginary part
+        of c_n, when it is not all zero, its unit (1 or i) and the real
+        (order, terms) table Re or Im c_n (ln n - lambda)^k / k!, k < _ORDER."""
         powers = np.vander(self._lnn - self._lam, _ORDER, increasing=True)
         powers /= [float(math.factorial(k)) for k in range(_ORDER)]
-        return [coef[:, None] * powers[:coef.size] for coef in self._coefs]
+        powers = np.ascontiguousarray(powers.T)
+        return [[(unit, part * powers[:, :coef.size])
+                 for unit, part in ((1.0, coef.real), (1j, coef.imag)) if part.any()]
+                for coef in self._coefs]
 
-    def _form_sums(self, centres: np.ndarray):
-        """S_k(m) / k!, k < _ORDER, of every series at the centres m, as one
-        (order, series, centres) array: the phase block e^{-im ln n}
-        (_phase_rows) has one row per centre, and each S_k is its product
-        with a moment table, taken one centre at a time so that a centre's
-        S_k do not depend on the centres formed with it."""
-        S = np.empty((_ORDER, len(self._moments), centres.size), dtype=complex)
-        for lo in range(0, centres.size, _BLOCK):
-            phases = _phase_rows(centres[lo:lo + _BLOCK], self._lnn)
-            self.phase_evals += phases.size
-            for i, moment in enumerate(self._moments):
-                rows = phases[:, None, :moment.shape[0]] @ moment
-                S[:, i, lo:lo + _BLOCK] = rows[:, 0].T
+    @functools.cached_property
+    def _offsets(self):
+        """The offset block e^{-ir spacing ln n}, r < _BLOCK, one row per r."""
+        block = _phase_rows(np.arange(_BLOCK) * self.spacing, self._lnn)
+        self.phase_evals += block.size
+        return block
+
+    def _phase_products(self, index: np.ndarray):
+        """(c, e^{-i index[c] spacing ln n}) for every c, in one row buffer
+        that the next item overwrites.  The row of j = _BLOCK J + r,
+        0 <= r < _BLOCK, is the anchor row e^{-i _BLOCK J spacing ln n}
+        (_phase_rows, one per J) times row r of the offset block.  The
+        spacing has 8 significant bits, so j spacing, _BLOCK J spacing and
+        r spacing are exact and the row depends on j alone."""
+        offsets, width = self._offsets, self._lnn.size
+        group = np.floor(index / _BLOCK)
+        r = (index - group * _BLOCK).astype(np.intp)
+        row = np.empty(width, dtype=complex)
+        for J in np.unique(group):
+            anchor = _phase_rows(np.array([J * _BLOCK * self.spacing]), self._lnn)[0]
+            centres = np.flatnonzero(group == J)
+            self.phase_evals += width * (1 + centres.size)
+            for c in centres:
+                yield c, np.multiply(anchor, offsets[r[c]], out=row)
+
+    def _form_sums(self, index: np.ndarray):
+        """S_k(m) / k!, k < _ORDER, of every series at the centres
+        m = j spacing, j in `index`, as one (order, series, centres) array.
+        Each centre's phase row (_phase_products) is copied to a (2, terms)
+        real array, whose product with the transpose of each real moment
+        table gives the real and imaginary parts of S_k per part of c_n;
+        S = S_re + i S_im.  The products are taken one centre at a time, so
+        that a centre's S_k do not depend on the centres formed with it."""
+        width = self._lnn.size
+        # per series and part of c_n, each centre's (2, order) real product;
+        # in this (2, terms) @ (terms, order) form the bits do not depend on
+        # the BLAS thread count (measured up to 611,016 terms)
+        products = [[np.empty((index.size, 2, _ORDER)) for _ in tables]
+                    for tables in self._moments]
+        planar = np.empty((2, width))
+        for c, row in self._phase_products(index):
+            np.copyto(planar, row.view(np.float64).reshape(width, 2).T)
+            for tables, out in zip(self._moments, products):
+                for (_, table), part in zip(tables, out):
+                    np.matmul(planar[:, :table.shape[1]], table.T, out=part[c])
+        S = np.zeros((_ORDER, len(self._moments), index.size), dtype=complex)
+        for i, (tables, out) in enumerate(zip(self._moments, products)):
+            for (unit, _), part in zip(tables, out):
+                S[:, i] += unit * (part[:, 0] + 1j * part[:, 1]).T
         return S
 
     def _series_sums(self, t: np.ndarray) -> np.ndarray:

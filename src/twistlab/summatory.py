@@ -149,14 +149,14 @@ def _loglog_fit(grid: Sequence[float],
     x = np.log(grid)
     y = np.log(values)
     xc = x - x.mean()
-    sxx = float(np.dot(xc, xc))
+    sxx = float(np.sum(xc * xc))
     if sxx == 0.0:
         raise ValueError("degenerate grid")
-    slope = float(np.dot(xc, y) / sxx)
+    slope = float(np.sum(xc * y) / sxx)
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (slope * x + intercept)
     dof = max(1, grid.size - 2)
-    stderr = math.sqrt(float(np.dot(resid, resid)) / dof / sxx)
+    stderr = math.sqrt(float(np.sum(resid * resid)) / dof / sxx)
     return slope, intercept, stderr
 
 

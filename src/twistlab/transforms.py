@@ -47,7 +47,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, PoleError, ResonanceError
-from .evaluate import SmoothedLineEvaluator
+from .evaluate import _BLOCK, SmoothedLineEvaluator
 from .model import LSeriesInstance, SmoothingParams
 from .oscillatory import PhaseFamily, integrate_oscillatory
 from .summation import compensated_sum
@@ -84,11 +84,14 @@ def _require_transform_degree(L: LSeriesInstance) -> float:
 
 
 def _phase_estimate(line: SmoothedLineEvaluator, a: float, b: float) -> float:
-    """Phase entries H_direct expects `line` to form on [a, b]: one per
-    term and centre, with the centres `line.spacing` apart (an exponential
-    at each prime n, one product at each composite).  The line keeps each
-    centre's sums, so every quadrature level after the first reuses them."""
-    return line.width * ((b - a) / line.spacing + 1.0)
+    """Phase entries H_direct expects `line` to form on [a, b]: `width` per
+    centre, with the centres `line.spacing` apart, per anchor row (one per
+    _BLOCK centres) and per row of the offset block (an exponential at each
+    prime n, one product at each composite, or one anchor-times-offset
+    product).  The line keeps each centre's sums, so every quadrature level
+    after the first reuses them."""
+    centres = (b - a) / line.spacing + 1.0
+    return line.width * (centres + centres / _BLOCK + 1.0 + _BLOCK)
 
 
 def H_direct(L: LSeriesInstance, alpha: float, T: float, sp: SmoothingParams,

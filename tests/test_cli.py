@@ -1,11 +1,13 @@
 """CLI tests: parsing, outputs, exit codes, determinism, custom configs."""
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twistlab
@@ -17,8 +19,10 @@ from twistlab.presets import (PRESET_NAMES, get_preset, instance_from_config,
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-#: runs the CLI on sys.argv[1:] after writing the BLAS thread count that
-#: numpy's bundled OpenBLAS reports (or "unknown") to stderr
+#: writes the BLAS thread count that numpy's bundled OpenBLAS reports (or
+#: "unknown") to stderr, then runs the CLI on sys.argv[1:]; or, when that is
+#: "values --out PATH", writes the bytes of one multi-t line-evaluator call
+#: (zeta at X = 1e3, 5,282 terms, 400 t on [100, 140]) to PATH
 BLAS_CHILD = """
 import ctypes, glob, os, sys
 import numpy
@@ -34,8 +38,41 @@ for path in glob.glob(os.path.join(libs, "*openblas*")):
             threads = get()
             break
 print(f"blas threads {threads}", file=sys.stderr)
+if sys.argv[1] == "values":
+    from twistlab.evaluate import SmoothedLineEvaluator
+    from twistlab.model import SmoothingParams
+    from twistlab.presets import get_preset
+    line = SmoothedLineEvaluator(get_preset("zeta"), SmoothingParams(X=1e3))
+    with open(sys.argv[3], "wb") as out:
+        out.write(line.values(numpy.linspace(100.0, 140.0, 400)).tobytes())
+    sys.exit(0)
 sys.exit(main(sys.argv[1:]))
 """
+
+
+def run_blas_child(argv, out, **env):
+    """BLAS_CHILD on argv + ["--out", out] in a fresh process (the BLAS
+    reads its settings once, at load time), with the variables in env set
+    and those given as None unset: its stdout plus stderr and the bytes it
+    wrote."""
+    path = [str(Path(twistlab.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH")]
+    child_env = {key: value for key, value in {**os.environ, **env}.items()
+                 if value is not None}
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    proc = subprocess.run([sys.executable, "-c", BLAS_CHILD, *argv, "--out", str(out)],
+                          env=child_env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout + proc.stderr, out.read_bytes()
+
+
+def numpy_blas():
+    """The name of the BLAS numpy was built against, or "unknown"."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        return "unknown"
+    return config.get("Build Dependencies", {}).get("blas", {}).get("name", "unknown")
 
 
 def _preset_config(name, Q, lam, mu, sigma_a, poles=()):
@@ -417,31 +454,55 @@ class TestDeterminism:
     BLAS_COMMANDS = [
         ("eval", ["eval", "--preset", "zeta", "--sigma", "0.5", "--t", "10:50:5",
                   "--X", "10000"]),
-        ("transform", ["transform", "--preset", "zeta", "--T-grid", "20"]),
+        ("transform", ["transform", "--preset", "zeta", "--m", "1", "--T-grid", "20",
+                       "--routes", "direct,sum,fe"]),
+        ("values", ["values"]),
     ]
 
     @pytest.mark.parametrize("name, argv", BLAS_COMMANDS,
                              ids=[c[0] for c in BLAS_COMMANDS])
     def test_bytes_do_not_depend_on_blas_threads(self, name, argv, tmp_path):
-        # each run in its own process, as the BLAS reads its thread count
-        # once at load time
-        path = [str(Path(twistlab.__file__).resolve().parents[1]),
-                os.environ.get("PYTHONPATH")]
         outputs, threads = {}, {}
         for n in (1, 2):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(n), OMP_NUM_THREADS=str(n),
-                       PYTHONPATH=os.pathsep.join(filter(None, path)))
-            out = tmp_path / f"threads{n}.csv"
-            proc = subprocess.run([sys.executable, "-c", BLAS_CHILD, *argv, "--out", str(out)],
-                                  env=env, capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            threads[n] = proc.stderr.split("blas threads ")[-1].split()[0]
-            outputs[n] = out.read_bytes()
+            log, outputs[n] = run_blas_child(argv, tmp_path / f"threads{n}.out",
+                                             OPENBLAS_NUM_THREADS=str(n),
+                                             OMP_NUM_THREADS=str(n))
+            threads[n] = log.split("blas threads ")[-1].split()[0]
         print(f"{name}: BLAS threads requested 1, 2; got {threads[1]}, {threads[2]}")
         if threads[1] == threads[2]:
             warnings.warn(f"{name}: the BLAS ran {threads[1]} thread(s) both times; "
                           "the comparison does not exercise a thread-count change")
         assert outputs[1] == outputs[2], f"got BLAS threads {threads}"
+
+    #: the AC-8 commands whose log-log fits took BLAS dot products
+    KERNEL_COMMANDS = [
+        ("twist", ["twist-scan", "--preset", "dirichlet-chi4", "--alpha", "auto",
+                   "--T-grid", "2^5:2^10"]),
+        ("summatory", ["summatory", "--preset", "zeta-scaled", "--X-grid", "2^7:2^13"]),
+    ]
+
+    @pytest.mark.parametrize("name, argv", KERNEL_COMMANDS,
+                             ids=[c[0] for c in KERNEL_COMMANDS])
+    def test_bytes_do_not_depend_on_blas_kernel(self, name, argv, tmp_path):
+        # OPENBLAS_CORETYPE forces the kernel that OpenBLAS's DYNAMIC_ARCH
+        # would pick for the CPU, and OPENBLAS_VERBOSE=2 prints the core used
+        blas = numpy_blas()
+        if "openblas" not in blas.lower():
+            pytest.skip(f"numpy uses the BLAS {blas!r}, not OpenBLAS: its kernel "
+                        "cannot be forced")
+        outputs, cores = {}, {}
+        for core in (None, "Sandybridge", "Prescott"):
+            log, outputs[core] = run_blas_child(argv, tmp_path / f"{core}.out",
+                                                OPENBLAS_CORETYPE=core,
+                                                OPENBLAS_VERBOSE="2")
+            found = re.search(r"Core: (\S+)", log)
+            cores[core] = found.group(1) if found else None
+        print(f"{name}: OPENBLAS_CORETYPE unset, Sandybridge, Prescott; got cores "
+              f"{cores[None]}, {cores['Sandybridge']}, {cores['Prescott']}")
+        if None in cores.values():
+            pytest.skip(f"OpenBLAS reported no core ({cores}): it was built without "
+                        "DYNAMIC_ARCH, so its kernel cannot be forced")
+        assert len(set(outputs.values())) == 1, f"got cores {cores}"
 
 
 class TestLayout:

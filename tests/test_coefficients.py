@@ -175,22 +175,13 @@ class TestBulkPointwiseAgreement:
     @pytest.mark.parametrize("name", ["zeta", "dirichlet-chi4", "zeta-sq",
                                       "zeta-shift-pair", "zeta-scaled"])
     def test_exact_agreement(self, name):
+        # coefficient(n) reads a table of length n, which must match the
+        # n-th entry of a longer table
         prov = get_preset(name).coefficients
         table = prov.bulk(10 ** 4).values
         idx = list(range(1, 40)) + [97, 960, 961, 5040, 9999, 10 ** 4]
         for n in idx:
             assert table[n - 1] == prov.coefficient(n), f"{name} n={n}"
-
-    @pytest.mark.parametrize("prov", [
-        VerticalShiftProvider(OnesProvider(), 0.5),
-        VerticalShiftProvider(OnesProvider(), -0.5),
-        get_preset("zeta-shift-pair").coefficients,
-    ], ids=["shift+0.5", "shift-0.5", "zeta-shift-pair"])
-    def test_vertical_shift_every_n(self, prov):
-        # a scalar power n ** -delta rounds differently from bulk's array
-        # power at 574 of these n for delta = 1/2
-        table = prov.bulk(10 ** 4).values
-        assert table.tolist() == [prov.coefficient(n) for n in range(1, 10 ** 4 + 1)]
 
     def test_delta_agreement(self):
         prov = get_preset("delta").coefficients
@@ -208,19 +199,56 @@ class TestBulkPointwiseAgreement:
         assert np.array_equal(tsq.values.real, np.array([1.0, 2.0, 2.0, 3.0]))
 
 
+def fresh_preset_provider(name):
+    if name == "delta":  # the preset shares one growing tau table
+        return RamanujanTauProvider()
+    return get_preset(name).coefficients
+
+
+#: prefix lengths checked on every preset: the first n, the ends of dyadic
+#: blocks, squares and their neighbours (the hyperbola split), highly
+#: composite n, and the n and table lengths the pointwise checks read
+PREFIX_LENGTHS = sorted(set(range(1, 41)) | {97, 127, 960, 961, 1999, 2000, 2049,
+                                             5040, 9999, 10 ** 4, 16383, 19999})
+
+
+def chi4_times_shift(swap):
+    p1 = PeriodicProvider((1.0, 0.0, -1.0, 0.0))
+    p2 = VerticalShiftProvider(OnesProvider(), 0.5)
+    return DirichletConvolutionProvider(*((p2, p1) if swap else (p1, p2)))
+
+
 class TestBulkPrefix:
+    # grid scans build one table and slice it per T, and coefficient(n)
+    # reads bulk(n), so a fresh provider's bulk(M) must equal a larger
+    # table's first M values bit for bit
+
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_bulk_prefix_is_bit_identical(self, name):
-        # grid scans build one table and slice it per T, so a fresh
-        # provider's bulk(M) must equal a larger table's first M values
-        def fresh():
-            if name == "delta":  # the preset shares one growing tau table
-                return RamanujanTauProvider()
-            return get_preset(name).coefficients
         N = 20000
-        table = fresh().bulk(N).values
-        for M in (1, 127, 2049, 16383, N - 1):
-            assert fresh().bulk(M).values.tobytes() == table[:M].tobytes(), M
+        table = fresh_preset_provider(name).bulk(N).values
+        for M in PREFIX_LENGTHS:
+            prov = fresh_preset_provider(name)
+            assert prov.bulk(M).values.tobytes() == table[:M].tobytes(), M
+            assert prov.coefficient(M) == table[M - 1], M
+
+    @pytest.mark.parametrize("prov, N", [
+        (VerticalShiftProvider(OnesProvider(), 0.5), 10 ** 4),
+        (VerticalShiftProvider(OnesProvider(), -0.5), 10 ** 4),
+        (get_preset("zeta-shift-pair").coefficients, 1000),
+        (chi4_times_shift(False), 200),
+        (chi4_times_shift(True), 200),
+    ], ids=["shift+0.5", "shift-0.5", "zeta-shift-pair", "chi4-first", "chi4-second"])
+    def test_every_prefix_length(self, prov, N):
+        # an array power may round differently with the array's length (a
+        # scalar n ** -delta did so at 574 n <= 1e4 for delta = 1/2), so
+        # every length up to N.  A convolution entry adds the same divisor
+        # pairs in the same order at any length, so beyond N = 1000 the
+        # entries of zeta-shift-pair can move with the length only through
+        # its factors, the two shift providers checked here to 1e4.
+        table = prov.bulk(N).values
+        for M in range(1, N + 1):
+            assert prov.bulk(M).values.tobytes() == table[:M].tobytes(), M
 
 
 def single_loop_sweep(t1, t2):
@@ -281,16 +309,6 @@ class TestHyperbolaSweep:
             # 2(k - 1) u times the sum of |terms|, u = 2^-53: 1.4e-14 of it
             majorant = single_loop_sweep(np.abs(t1), np.abs(t2)).real
             assert np.all(np.abs(got - want) <= 1e-13 * majorant), N
-
-    @pytest.mark.parametrize("swap", [False, True], ids=["chi4-first", "chi4-second"])
-    def test_unequal_factors_pointwise(self, swap):
-        p1 = PeriodicProvider((1.0, 0.0, -1.0, 0.0))
-        p2 = VerticalShiftProvider(OnesProvider(), 0.5)
-        if swap:
-            p1, p2 = p2, p1
-        conv = DirichletConvolutionProvider(p1, p2)
-        table = conv.bulk(200).values
-        assert table.tolist() == [conv.coefficient(n) for n in range(1, 201)]
 
 
 class TestTau:

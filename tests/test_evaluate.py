@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from twistlab import evaluate
+from twistlab.coefficients import PeriodicProvider
 from twistlab.errors import PoleError
 from twistlab.evaluate import (SmoothedLineEvaluator, fe_cross_check,
                                reference_zeta, smoothed_value)
 from twistlab.gammafn import _digamma_vec, _log_gamma_vec, _ratio_args
-from twistlab.model import SmoothingParams
+from twistlab.model import LSeriesInstance, SmoothingParams
 from twistlab.oscillatory import _panel_nodes
 from twistlab.presets import get_preset
 
@@ -100,10 +101,35 @@ def main_series_value(L, sigma, t, sp):
     return complex(ev._series_sums(np.array([t]))[0, 0])
 
 
+def phase_entries(ev, calls):
+    """The phase entries a fresh evaluator forms for multi-point calls on
+    each node set in `calls`: `width` per new centre, per anchor row (one
+    per _BLOCK consecutive centres, in each call that forms a centre among
+    them) and per row of the offset block."""
+    known, rows = np.empty(0), evaluate._BLOCK
+    for t in calls:
+        index = np.setdiff1d(np.rint(t / ev.spacing), known)
+        rows += index.size + np.unique(np.floor(index / evaluate._BLOCK)).size
+        known = np.union1d(known, index)
+    return ev.width * rows
+
+
+def kernel_series(name):
+    """A preset, or "complex-pattern": the complex c_n of
+    PeriodicProvider((0, 1, i, -i, -1)) on dirichlet-chi4's
+    functional-equation data.  The kernel oracle applies the same
+    corrections, so the pair need not satisfy that equation."""
+    if name != "complex-pattern":
+        return get_preset(name)
+    base = get_preset("dirichlet-chi4")
+    return LSeriesInstance(name, PeriodicProvider((0, 1, 1j, -1j, -1)),
+                           base.fe, base.sigma_a)
+
+
 def panel_nodes_of_K_T(name, T):
     """Gauss-Legendre nodes on K_T = [2 alpha T, 3 alpha T], 128 panels:
     several nodes per Taylor centre, as in H_direct."""
-    alpha = get_preset(name).resonance_alpha(1)
+    alpha = kernel_series(name).resonance_alpha(1)
     return _panel_nodes(2.0 * alpha * T, 3.0 * alpha * T, 128)[0]
 
 
@@ -294,7 +320,7 @@ class TestFECrossCheck:
 
     def test_wrong_root_number_blows_up(self):
         # flipping omega must produce an O(1) defect: the check has teeth
-        from twistlab.model import FunctionalEquationData, LSeriesInstance
+        from twistlab.model import FunctionalEquationData
         base = get_preset("dirichlet-chi4")
         fe = FunctionalEquationData(Q=base.fe.Q, omega=-1.0,
                                     gamma=base.fe.gamma, poles=base.fe.poles)
@@ -328,12 +354,13 @@ class TestLineEvaluator:
 
     @pytest.mark.parametrize("t_set", sorted(KERNEL_T_SETS))
     @pytest.mark.parametrize("sigma", [0.5, 0.6])
-    @pytest.mark.parametrize("name", ["zeta", "zeta-sq", "dirichlet-chi4", "delta"])
+    @pytest.mark.parametrize("name", ["zeta", "zeta-sq", "dirichlet-chi4", "delta",
+                                      "complex-pattern"])
     def test_kernel_matches_dense_oracle(self, name, sigma, t_set):
         # 1e-11 absolute, relative once |F| > 1: at t ~ 1000 the degree-2
         # corrections scale the residue series' rounding, which the dense
         # formula shares, up with |F| (~1e5 at this X)
-        ev = SmoothedLineEvaluator(get_preset(name), SmoothingParams(X=1000.0),
+        ev = SmoothedLineEvaluator(kernel_series(name), SmoothingParams(X=1000.0),
                                    sigma=sigma)
         # an evaluator that has already seen another set: its cached
         # centres are reused
@@ -359,10 +386,9 @@ class TestLineEvaluator:
         ev.values(level1)
         first = ev.phase_evals
         ev.values(level2)
-        nodes = np.concatenate([level1, level2])
-        centres = np.unique(np.rint(nodes / ev.spacing)).size
-        assert ev.phase_evals == ev.width * centres
-        assert ev.phase_evals - first <= 2 * ev.width  # at most the two ends
+        assert ev.phase_evals == phase_entries(ev, [level1, level2])
+        # at most the two ends and their anchor rows
+        assert ev.phase_evals - first <= 4 * ev.width
 
     def test_values_do_not_depend_on_call_history(self):
         # the centre grid is fixed and a centre's sums do not depend on the
@@ -424,23 +450,45 @@ class TestLineEvaluator:
 
 
 def zeta_t60_block():
-    """The phase block of H_direct(zeta, T = 60): its evaluator's width and
-    the centres, multiples of the spacing, that cover K_T."""
+    """The evaluator of H_direct(zeta, T = 60) and the indices j of the
+    centres j spacing that cover K_T."""
     L, sp, T = get_preset("zeta"), SmoothingParams(), 60.0
     ev = SmoothedLineEvaluator(L, sp.with_X(sp.cutoff(T, 1.0)))
     alpha = L.resonance_alpha(1)
     index = np.arange(np.rint(2.0 * alpha * T / ev.spacing),
                       np.rint(3.0 * alpha * T / ev.spacing) + 1.0)
-    return index * ev.spacing, ev.width
+    return ev, index
 
 
-#: (t values, width) of the phase rows checked against mpmath
+def sieve_rows(t, width):
+    """t and _phase_rows(t) over n = 1..width."""
+    return t, evaluate._phase_rows(t, np.log(np.arange(1, width + 1, dtype=np.float64)))
+
+
+def block_rows():
+    """The centres of the zeta T = 60 block and their _phase_rows."""
+    ev, index = zeta_t60_block()
+    return sieve_rows(index * ev.spacing, ev.width)
+
+
+def product_rows():
+    """The centres of the zeta T = 60 block and the anchor-times-offset
+    phase rows that _form_sums forms for them."""
+    ev, index = zeta_t60_block()
+    rows = np.empty((index.size, ev.width), dtype=complex)
+    for c, row in ev._phase_products(index):
+        rows[c] = row
+    return index * ev.spacing, rows
+
+
+#: (t values, their phase rows) checked against mpmath
 PHASE_ROW_CASES = {
-    "zeta-T60-block": zeta_t60_block,
+    "zeta-T60-block": block_rows,
+    "zeta-T60-products": product_rows,
     # the main series of smoothed_value(zeta, 1/2 + 37.5i) at X = 1e4
-    "row-53868": lambda: (np.array([37.5]), 53868),
+    "row-53868": lambda: sieve_rows(np.array([37.5]), 53868),
     # the main series of eval --preset zeta-sq at X = 1e5
-    "row-611016": lambda: (np.array([190.0]), 611016),
+    "row-611016": lambda: sieve_rows(np.array([190.0]), 611016),
 }
 
 
@@ -455,23 +503,25 @@ class TestPhaseRows:
         # chains), against e^{-it ln n} to 40 digits with t as given: the
         # rms error is no larger than that of exp(-i t ln n) in double, and
         # the largest within 1.25 times its largest (both are set by the
-        # rounding of t ln n, up to |t ln n| 2^-53)
+        # rounding of t ln n, up to |t ln n| 2^-53).  The anchor-times-offset
+        # rows meet this only because their two arguments sum to t exactly.
         mpmath = pytest.importorskip("mpmath")
-        t, width = PHASE_ROW_CASES[case]()
+        t, phases = PHASE_ROW_CASES[case]()
+        width = phases.shape[1]
         lnn = np.log(np.arange(1, width + 1, dtype=np.float64))
         rng = np.random.default_rng(11)
         powers = 2 ** np.arange(1, int(math.log2(width)) + 1) - 1
         cols = np.concatenate([rng.integers(0, width, 400), powers])
         rows = rng.integers(0, t.size, cols.size)
-        sieve = evaluate._phase_rows(t, lnn)[rows, cols]
+        got = phases[rows, cols]
         direct = np.exp(-1j * t[rows] * lnn[cols])
         with mpmath.workdps(40):
             want = [mpmath.expj(-mpmath.mpf(float(t[r])) * mpmath.log(int(c) + 1))
                     for r, c in zip(rows, cols)]
-        err_sieve = np.array([float(abs(complex(v) - w)) for v, w in zip(sieve, want)])
+        err_got = np.array([float(abs(complex(v) - w)) for v, w in zip(got, want)])
         err_direct = np.array([float(abs(complex(v) - w)) for v, w in zip(direct, want)])
-        assert np.sqrt(np.mean(err_sieve ** 2)) <= np.sqrt(np.mean(err_direct ** 2))
-        assert err_sieve.max() <= 1.25 * err_direct.max()
+        assert np.sqrt(np.mean(err_got ** 2)) <= np.sqrt(np.mean(err_direct ** 2))
+        assert err_got.max() <= 1.25 * err_direct.max()
 
     def test_bits_do_not_depend_on_the_widths_before(self, monkeypatch):
         # the shared plan grows to the longest width asked for; a shorter

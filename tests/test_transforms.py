@@ -8,7 +8,7 @@ import pytest
 from twistlab.errors import BudgetError, ResonanceError
 from twistlab.model import LSeriesInstance, SmoothingParams
 from twistlab.coefficients import PeriodicProvider, TableProvider
-from twistlab import transforms
+from twistlab import evaluate, transforms
 from twistlab.oscillatory import integrate_oscillatory
 from twistlab.presets import get_preset, instance_from_config
 from twistlab.transforms import (H_direct, H_fe_side, H_sum_side, _jm_factor,
@@ -243,9 +243,15 @@ class TestRoutes:
         H_direct(L, L.resonance_alpha(1), T, SmoothingParams())
         (line,) = lines
         assert len(nodes) >= 2
-        t = np.concatenate(nodes)
-        centres = np.unique(np.rint(t / line.spacing)).size
-        assert line.phase_evals == line.width * centres
+        # width per new centre, per anchor row (one per _BLOCK consecutive
+        # centres, in each call that forms a centre among them) and per
+        # offset-block row
+        known, rows = np.empty(0), evaluate._BLOCK
+        for t in nodes:
+            index = np.setdiff1d(np.rint(t / line.spacing), known)
+            rows += index.size + np.unique(np.floor(index / evaluate._BLOCK)).size
+            known = np.union1d(known, index)
+        assert line.phase_evals == line.width * rows
 
     def test_degree_below_one_rejected(self):
         cfg = {
