@@ -7,6 +7,13 @@ convolution splits the divisor pairs d e = n by Dirichlet's hyperbola method
 and adds the pairs with d <= e first, then those with d > e.  Each provider
 carries a magnitude bound |a_n| <= K n^c used by the evaluators' truncation
 rule.
+
+A table is float64 when the series' coefficients are real and complex128
+otherwise; real values are never stored as complex.  Constant, periodic and
+explicit tables are float64 when every imaginary part is +0, the shift and
+scaling combinators keep their base's dtype, and a convolution takes the
+common dtype of its factors.  Callers never write into a table: a provider
+may return a read-only view of a table it keeps.
 """
 from __future__ import annotations
 
@@ -17,9 +24,17 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import BudgetError
-from .exactconv import conv_exact
+from .exactconv import (chunks_to_float, chunks_to_int64, chunks_to_ints,
+                        conv_chunks, conv_exact)
 
 _MAX_BULK = 10 ** 7
+
+
+def _real_if_real(values: np.ndarray) -> np.ndarray:
+    """values as float64 when every imaginary part is +0, else unchanged."""
+    if values.imag.any() or np.signbit(values.imag).any():
+        return values
+    return values.real.copy()
 
 
 def _guard_bulk(N: int) -> int:
@@ -33,7 +48,11 @@ def _guard_bulk(N: int) -> int:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Coefficients a_1..a_N; values[k] is a_{k+1}."""
+    """Coefficients a_1..a_N; values[k] is a_{k+1}.
+
+    values is float64 for a series with real coefficients and complex128
+    otherwise; it may be a view of a provider's cache, so it is not written
+    into."""
 
     values: np.ndarray
 
@@ -64,7 +83,7 @@ class OnesProvider(CoefficientProvider):
 
     def bulk(self, N: int) -> CoefficientTable:
         N = _guard_bulk(N)
-        return CoefficientTable(np.ones(N, dtype=complex))
+        return CoefficientTable(np.ones(N))
 
 
 class PeriodicProvider(CoefficientProvider):
@@ -73,25 +92,25 @@ class PeriodicProvider(CoefficientProvider):
     def __init__(self, pattern: Sequence[complex]):
         self.pattern = tuple(complex(v) for v in pattern)
         self.mag_bound = (max(abs(v) for v in self.pattern) or 1.0, 0.0)
+        self._period = _real_if_real(np.asarray(self.pattern, dtype=complex))
 
     def bulk(self, N: int) -> CoefficientTable:
         N = _guard_bulk(N)
         reps = -(-N // len(self.pattern))
-        return CoefficientTable(np.tile(np.asarray(self.pattern, dtype=complex),
-                                        reps)[:N].copy())
+        return CoefficientTable(np.tile(self._period, reps)[:N].copy())
 
 
 class TableProvider(CoefficientProvider):
     """Coefficients from an explicit finite table; zero beyond it."""
 
     def __init__(self, values: Sequence[complex]):
-        self._values = np.asarray(list(values), dtype=complex)
+        self._values = _real_if_real(np.asarray(list(values), dtype=complex))
         peak = float(np.max(np.abs(self._values))) if len(self._values) else 0.0
         self.mag_bound = (peak or 1.0, 0.0)
 
     def bulk(self, N: int) -> CoefficientTable:
         N = _guard_bulk(N)
-        out = np.zeros(N, dtype=complex)
+        out = np.zeros(N, dtype=self._values.dtype)
         k = min(N, len(self._values))
         out[:k] = self._values[:k]
         return CoefficientTable(out)
@@ -132,7 +151,7 @@ class ArgumentScaleProvider(CoefficientProvider):
         while (R + 1) ** self.k <= N:
             R += 1
         base = self.base.bulk(R).values
-        out = np.zeros(N, dtype=complex)
+        out = np.zeros(N, dtype=base.dtype)
         for r in range(1, R + 1):
             out[r ** self.k - 1] = base[r - 1] * float(r) ** self.delta
         return CoefficientTable(out)
@@ -159,7 +178,7 @@ class DirichletConvolutionProvider(CoefficientProvider):
         N = _guard_bulk(N)
         t1 = self.p1.bulk(N).values
         t2 = self.p2.bulk(N).values
-        out = np.zeros(N, dtype=complex)
+        out = np.zeros(N, dtype=np.result_type(t1, t2))
         r = math.isqrt(N)
         for d in range(1, r + 1):  # n = d e with e >= d
             v = t1[d - 1]
@@ -182,27 +201,36 @@ def _eta3_sparse(N: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=np.int64)
 
 
-def tau_integers(N: int) -> List[int]:
-    """Exact tau(1..N), index n at position n (position 0 unused).
+def _eta12(N: int):
+    """The coefficients of prod (1-q^m)^12 below q^N: an int64 array, or
+    Python ints when one of them needs more than 63 bits.
 
-    Pipeline: cube-power sparse series, one sparse-sparse convolution to the
-    sixth power (int64), then two exact squarings (conv_exact, by
-    floating-point FFT on short limbs under a proven round-off bound), then
-    the q-shift.  eta^6 goes to conv_exact as an int64 array, and eta^12 as
-    the list conv_exact returns, which it reads back as int64 while every
-    value fits and as Python ints past 2^63.  The sparse step takes about
-    5 % of the call at N = 65535.
-    """
-    N = _guard_bulk(N)
+    The cube-power sparse series, one sparse-sparse convolution to the
+    sixth power (int64), then one exact squaring (conv_chunks) whose digit
+    chunks are folded straight to int64.  The sparse step takes about 5 %
+    of tau_integers at N = 65535."""
     idx, val = _eta3_sparse(N)
     eta6 = np.zeros(N, dtype=np.int64)
     pair_idx = idx[:, None] + idx[None, :]
     pair_val = val[:, None] * val[None, :]
     mask = pair_idx < N
     np.add.at(eta6, pair_idx[mask], pair_val[mask])
-    eta12 = conv_exact(eta6, eta6, N)
-    eta24 = conv_exact(eta12, eta12, N)
-    return [0] + eta24  # tau(n) is the q^{n-1} coefficient: shift by one index
+    chunks = conv_chunks(eta6, eta6, N)
+    eta12 = chunks_to_int64(*chunks)
+    return chunks_to_ints(*chunks) if eta12 is None else eta12
+
+
+def tau_integers(N: int) -> List[int]:
+    """Exact tau(1..N), index n at position n (position 0 unused).
+
+    eta^12 (_eta12, int64 while every value fits) is squared exactly by
+    conv_exact (floating-point FFT on short limbs under a proven round-off
+    bound), which returns Python ints; tau(n) is the q^{n-1} coefficient
+    of eta^24, so the list is shifted by one index.  RamanujanTauProvider
+    takes the same squaring's digit chunks to float64 instead."""
+    N = _guard_bulk(N)
+    eta12 = _eta12(N)
+    return [0] + conv_exact(eta12, eta12, N)
 
 
 class RamanujanTauProvider(CoefficientProvider):
@@ -211,16 +239,21 @@ class RamanujanTauProvider(CoefficientProvider):
     mag_bound = (2.0, 0.5)  # |a_n| <= d(n) <= 2 sqrt(n)
 
     def __init__(self):
-        # normalized a_1..a_N; an extension is published by one assignment,
-        # so a concurrent reader sees either the old table or the new one
+        # read-only normalized a_1..a_N; an extension is published by one
+        # assignment, so a concurrent reader sees either the old table or
+        # the new one
         self._table = np.empty(0)
 
     def bulk(self, N: int) -> CoefficientTable:
+        """A read-only view of the cached table.  tau(n) goes from the
+        exact squaring's digit chunks to float64 (chunks_to_float rounds as
+        float(int) does) without passing through Python ints."""
         N = _guard_bulk(N)
         table = self._table
         if len(table) < N:
-            tau = tau_integers(N)
+            eta12 = _eta12(N)
             n = np.arange(1, N + 1, dtype=float)
-            table = np.fromiter(tau[1:], dtype=np.float64, count=N) / n ** 5.5
+            table = chunks_to_float(*conv_chunks(eta12, eta12, N)) / n ** 5.5
+            table.flags.writeable = False
             self._table = table
-        return CoefficientTable(table[:N].astype(complex))
+        return CoefficientTable(table[:N])

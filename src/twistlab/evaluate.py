@@ -409,12 +409,19 @@ class SmoothedLineEvaluator:
     def _moments(self):
         """Each series' moment tables: for the real and the imaginary part
         of c_n, when it is not all zero, its unit (1 or i) and the real
-        (order, terms) table Re or Im c_n (ln n - lambda)^k / k!, k < _ORDER."""
+        (order, terms) table Re or Im c_n (ln n - lambda)^k / k!, k < _ORDER.
+        A real c_n (a float64 table) has no imaginary part to look at."""
         powers = np.vander(self._lnn - self._lam, _ORDER, increasing=True)
         powers /= [float(math.factorial(k)) for k in range(_ORDER)]
         powers = np.ascontiguousarray(powers.T)
+
+        def parts(coef):
+            if np.iscomplexobj(coef):
+                return (1.0, coef.real), (1j, coef.imag)
+            return ((1.0, coef),)
+
         return [[(unit, part * powers[:, :coef.size])
-                 for unit, part in ((1.0, coef.real), (1j, coef.imag)) if part.any()]
+                 for unit, part in parts(coef) if part.any()]
                 for coef in self._coefs]
 
     @functools.cached_property

@@ -8,7 +8,16 @@ products with j + l = s are summed in place and one irfft gives
 sum_{j+l=s} a_j * b_l; those are integers of magnitude at most
 L min(len a, len b) 4^{B-1}, and rint recovers them when the FFT error is
 below 1/2.  The degrees are then folded, with a carry, into B-bit digits
-packed into int64 chunks, and the Python ints are built once at the end.
+packed into int64 chunks.
+
+That exact core, conv_chunks, returns the chunks: value = sum_q chunk_q 2^{q C},
+where the chunk width C (42 to 62 bits) is a whole number of digits; every
+chunk but the top one holds an unsigned C-bit digit group, and the top one
+is signed.  Two finishers read them: chunks_to_ints builds the Python ints
+that conv_exact returns, and chunks_to_float rounds each value to the
+nearest float64 (ties to even) without leaving numpy.  chunks_to_int64
+folds them into one int64 array when every value fits, for a result that
+is squared again.
 
 B is the widest limb for which Percival's bound on the FFT round-off
 (C. Percival, Math. Comp. 72 (2003) 387-395, Thm. 5.1) stays below 1/4:
@@ -25,7 +34,7 @@ otherwise.  The result is exact, or the call fails loudly.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -87,13 +96,17 @@ def _limb_spectra(values: np.ndarray, bits: int, width: int, size: int):
     return spectra
 
 
-def conv_exact(a: Sequence[int], b: Sequence[int], out_len: int) -> List[int]:
-    """Exact (signed) integer convolution of a and b, first out_len coeffs."""
+def conv_chunks(a: Sequence[int], b: Sequence[int],
+                out_len: int) -> Tuple[List[np.ndarray], int]:
+    """The exact (signed) integer convolution of a and b, first out_len
+    coefficients, as (chunks, C): coefficient k is
+    sum_q chunks[q][k] 2^{q C}, with chunks[q] in [0, 2^C) below the top
+    chunk and the top chunk a signed int64."""
     same = b is a
     a = _int_array(a[:out_len])
     b = a if same else _int_array(b[:out_len])
     if not len(a) or not len(b):
-        return [0] * out_len
+        return [np.zeros(out_len, dtype=np.int64)], _CHUNK_BITS
     full = len(a) + len(b) - 1
     size = 1 << (full - 1).bit_length()
     keep = min(out_len, full)
@@ -105,7 +118,7 @@ def conv_exact(a: Sequence[int], b: Sequence[int], out_len: int) -> List[int]:
 
     mask, per_chunk = (1 << width) - 1, _CHUNK_BITS // width
     chunks: List[np.ndarray] = []
-    carry = np.zeros(keep, dtype=np.int64)
+    carry = np.zeros(out_len, dtype=np.int64)
     acc = np.empty_like(spec_a[0])
     term = np.empty_like(acc)
     degrees = len(spec_a) + len(spec_b) - 1
@@ -122,7 +135,7 @@ def conv_exact(a: Sequence[int], b: Sequence[int], out_len: int) -> List[int]:
             if worst >= 0.25:
                 raise ArithmeticError(
                     f"FFT round-off {worst:.3g} >= 1/4 at limb width {width}")
-            carry += r.astype(np.int64)
+            carry[:keep] += r.astype(np.int64)
         digit = carry & mask
         carry >>= width
         q, pos = divmod(s, per_chunk)
@@ -131,14 +144,61 @@ def conv_exact(a: Sequence[int], b: Sequence[int], out_len: int) -> List[int]:
         else:
             chunks.append(digit)
         s += 1
-    del spec_a, spec_b, acc, term
     # carry is 0 or -1 (the sign): fold it into the top chunk, which becomes
-    # a signed int64, then build sum_q chunks[q] 2^{q width per_chunk}
-    out = chunks.pop()
-    out += carry << ((s - len(chunks) * per_chunk) * width)
-    if chunks:
+    # a signed int64
+    chunks[-1] += carry << ((s - (len(chunks) - 1) * per_chunk) * width)
+    return chunks, width * per_chunk
+
+
+def chunks_to_ints(chunks: List[np.ndarray], chunk_bits: int) -> List[int]:
+    """The values sum_q chunks[q] 2^{q chunk_bits} (conv_chunks) as Python ints."""
+    out = chunks[-1]
+    if len(chunks) > 1:
         out = out.astype(object)
-    while chunks:
-        out <<= width * per_chunk
-        out |= chunks.pop()
-    return out.tolist() + [0] * (out_len - keep)
+        for chunk in reversed(chunks[:-1]):
+            out <<= chunk_bits
+            out |= chunk
+    return out.tolist()
+
+
+def chunks_to_int64(chunks: List[np.ndarray], chunk_bits: int):
+    """The values sum_q chunks[q] 2^{q chunk_bits} (conv_chunks) as one
+    int64 array, or None when one of them lies outside [-2^63, 2^63)."""
+    out, limit = chunks[-1], 1 << (63 - chunk_bits)
+    for chunk in reversed(chunks[:-1]):
+        if ((out < -limit) | (out >= limit)).any():
+            return None
+        out = (out << chunk_bits) | chunk
+    return out
+
+
+def chunks_to_float(chunks: List[np.ndarray], chunk_bits: int) -> np.ndarray:
+    """The values sum_q chunks[q] 2^{q chunk_bits} (conv_chunks), each
+    rounded to the nearest float64, ties to even, as float(int) rounds.
+
+    From the top chunk down, the bits of each chunk are shifted into a
+    signed int64 `acc` while it has room below 2^62.  Once a chunk does not
+    fit, acc holds floor(v / 2^e) with at least 61 significant bits; the
+    bits below it only set a sticky bit and raise e.  acc | sticky is then
+    v / 2^e rounded to odd, with at least 55 bits, so the int64 -> float64
+    conversion (round half to even) rounds it as it would round v, and
+    ldexp by e is exact."""
+    acc = chunks[-1]
+    e = np.zeros(acc.shape, dtype=np.int64)
+    sticky = np.zeros(acc.shape, dtype=np.int64)
+    for chunk in reversed(chunks[:-1]):
+        # frexp's exponent of |acc| (or |acc + 1| below 0) is its bit length
+        # or one more, so a shift by `room` stays inside [-2^62, 2^62)
+        top_bit = np.frexp(np.where(acc < 0, ~acc, acc).astype(np.float64))[1]
+        room = _CHUNK_BITS - top_bit.astype(np.int64)
+        shift = np.where(e > 0, 0, np.clip(room, 0, chunk_bits))
+        drop = chunk_bits - shift
+        acc = (acc << shift) | (chunk >> drop)
+        sticky |= (chunk & ((1 << drop) - 1)) != 0
+        e += drop
+    return np.ldexp((acc | sticky).astype(np.float64), e)
+
+
+def conv_exact(a: Sequence[int], b: Sequence[int], out_len: int) -> List[int]:
+    """Exact (signed) integer convolution of a and b, first out_len coeffs."""
+    return chunks_to_ints(*conv_chunks(a, b, out_len))

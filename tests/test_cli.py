@@ -1,4 +1,5 @@
 """CLI tests: parsing, outputs, exit codes, determinism, custom configs."""
+import hashlib
 import json
 import os
 import re
@@ -503,6 +504,41 @@ class TestDeterminism:
             pytest.skip(f"OpenBLAS reported no core ({cores}): it was built without "
                         "DYNAMIC_ARCH, so its kernel cannot be forced")
         assert len(set(outputs.values())) == 1, f"got cores {cores}"
+
+
+class TestPinnedBytes:
+    """sha256 of outputs recorded before real coefficient tables became
+    float64 (numpy 2.4): TestDeterminism compares two runs of the same
+    code, this compares the code with its earlier versions.  Bits are
+    promised for one numpy version, so another one skips."""
+
+    PINNED = [
+        (["coeffs", "--preset", "zeta", "--bulk", "3000"],
+         "c02b6f1428331227e333b501c8801e3a74c9d6ff1ee5b66a2e6f5bf2e2557995"),
+        (["coeffs", "--preset", "zeta-doubled", "--bulk", "3000"],
+         "ab0d614442e0029a3c71e52bc8f2f4e9fa5b0f87532a39a4bd4f63dd41d83d54"),
+        (["coeffs", "--preset", "dirichlet-chi4", "--bulk", "3000"],
+         "99ddc808e040c416daf387f23f8deecaf5d17d71494fe0e5e4f760775b999445"),
+        (["coeffs", "--preset", "zeta-sq", "--bulk", "3000"],
+         "a24ef3a19fb8df0340506be6165269de5b14fa74e985ec71382c80ac4ebdd932"),
+        (["coeffs", "--preset", "zeta-shift-pair", "--bulk", "3000"],
+         "7e0b627a21907823934795c85b9800ec4eb77eeb783c8ad0038109a9a12cf3ca"),
+        (["coeffs", "--preset", "zeta-scaled", "--bulk", "3000"],
+         "1138b7eff08162381af87ff56b56c4794b8e6f2c98b6bcfa9ee8e95955fee3a9"),
+        (["coeffs", "--preset", "delta", "--bulk", "3000"],
+         "bbee074d0d4fe7adbc5e78613a8f1b746123ebdecac965cff8a50f73563532b1"),
+        (["twist-scan", "--preset", "delta", "--alpha", "auto", "--T-grid", "2^5:2^11"],
+         "c2ccb97979daa476f0ce7e61250c9bbb45e2ede906ac100f11ecb2361eed445e"),
+    ]
+
+    @pytest.mark.parametrize("argv, digest", PINNED,
+                             ids=[f"{a[0]}-{a[2]}" for a, _ in PINNED])
+    def test_bytes_match_the_recorded_digest(self, argv, digest, tmp_path):
+        if np.__version__.split(".")[:2] != ["2", "4"]:
+            pytest.skip(f"digests recorded under numpy 2.4, not {np.__version__}")
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestLayout:

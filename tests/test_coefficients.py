@@ -1,4 +1,5 @@
 """Coefficient-provider tests: presets, combinators, the exact tau table."""
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistlab.coefficients import (ArgumentScaleProvider, CoefficientProvider,
+                                   CoefficientTable,
                                    DirichletConvolutionProvider, OnesProvider,
                                    PeriodicProvider, RamanujanTauProvider,
                                    TableProvider, VerticalShiftProvider,
@@ -18,7 +20,11 @@ from twistlab.coefficients import (ArgumentScaleProvider, CoefficientProvider,
 from twistlab.errors import BudgetError
 from twistlab import coefficients, exactconv
 from twistlab.exactconv import conv_exact, limb_width
+from twistlab.evaluate import SmoothedLineEvaluator
+from twistlab.model import SmoothingParams
 from twistlab.presets import PRESET_NAMES, get_preset
+from twistlab.summatory import abs_partial_sum, run_twist_scan
+from twistlab.transforms import H_sum_side
 
 ZETA_3_5 = 1.12673386731705665  # frozen high-precision value
 
@@ -421,15 +427,38 @@ class TestTau:
                 assert tau[n] == tau[p] * tau[n // p] - p ** 11 * tau[n // (p * p)], f"n={n}"
 
     def test_normalized_table_rounds_each_integer(self):
-        # the provider turns the exact integers into floats in one
-        # np.fromiter call; past 2^63 each must still be float(tau(n))
-        N = 4096
+        # the provider rounds the exact squaring's digit chunks to float64
+        # without building Python ints; past 2^63 (n > ~3000) and up to
+        # 2^99 at N = 2e5 each must still be float(tau(n)) / n^5.5
+        N = 2 * 10 ** 5
         tau = tau_integers(N)
-        assert max(abs(t) for t in tau) > 2 ** 63
+        assert all(type(t) is int for t in tau)
+        assert max(abs(t) for t in tau) > 2 ** 96
         n = np.arange(1, N + 1, dtype=float)
         want = np.array([float(t) for t in tau[1:]]) / n ** 5.5
-        got = np.ascontiguousarray(RamanujanTauProvider().bulk(N).values.real)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        got = RamanujanTauProvider().bulk(N).values
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_eta12_past_int64_goes_through_python_ints(self, monkeypatch):
+        # eta^12 stays int64 while every value fits (all N tested here);
+        # past 2^63 the squaring takes Python ints, with the same results
+        tau = tau_integers(3000)
+        table = RamanujanTauProvider().bulk(3000).values
+        monkeypatch.setattr(coefficients, "chunks_to_int64", lambda chunks, bits: None)
+        assert isinstance(coefficients._eta12(50), list)
+        assert tau_integers(3000) == tau
+        assert RamanujanTauProvider().bulk(3000).values.tobytes() == table.tobytes()
+
+    def test_bulk_is_a_read_only_view_of_the_cache(self):
+        prov = RamanujanTauProvider()
+        full = prov.bulk(300).values
+        prefix = prov.bulk(100).values
+        assert prefix.dtype == np.float64
+        assert np.shares_memory(prefix, full)
+        assert not prefix.flags.writeable
+        with pytest.raises(ValueError):
+            prefix[0] = 0.0
 
     def test_deligne_tripwire(self):
         N = 10 ** 5
@@ -539,3 +568,148 @@ class TestPeriodicAndTable:
         assert prov.coefficient(2) == 4.0
         assert prov.coefficient(3) == 0.0
         assert prov.coefficient(10 ** 6) == 0.0
+
+
+class AsComplex(CoefficientProvider):
+    """The coefficients of `base` stored as complex128, with its magnitude
+    bound: every table's representation before real series kept real
+    tables.  (A TableProvider of these values would be float64 again.)"""
+
+    def __init__(self, base: CoefficientProvider):
+        self.base = base
+        self.mag_bound = base.mag_bound
+
+    def bulk(self, N: int) -> CoefficientTable:
+        return CoefficientTable(self.base.bulk(N).values.astype(complex))
+
+
+COMPLEX_PERIOD = (1.0, 1j, -1.0, -1j)
+
+
+class TestTableDtype:
+    # float64 for real coefficients, complex128 otherwise; the pointwise
+    # read is a Python complex either way
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets_are_float64(self, name):
+        prov = fresh_preset_provider(name)
+        assert prov.bulk(100).values.dtype == np.float64
+        assert type(prov.coefficient(7)) is complex
+
+    def test_complex_values_stay_complex(self):
+        periodic = PeriodicProvider(COMPLEX_PERIOD)
+        table = TableProvider([1.0, 2.0 - 0.5j])
+        mixed = DirichletConvolutionProvider(VerticalShiftProvider(OnesProvider(), 0.5),
+                                             periodic)
+        for prov in (periodic, table, mixed):
+            assert prov.bulk(50).values.dtype == np.complex128
+        assert type(periodic.coefficient(2)) is complex
+        assert periodic.coefficient(2) == 1j
+        assert table.coefficient(2) == 2.0 - 0.5j
+
+    def test_real_values_given_as_complex_become_float64(self):
+        assert PeriodicProvider((1.0 + 0j, -1.0 + 0j)).bulk(5).values.dtype == np.float64
+        assert TableProvider([3.0 + 0j, 4.0]).bulk(5).values.dtype == np.float64
+        # a -0 imaginary part is kept, so its sign still prints
+        assert TableProvider([complex(1.0, -0.0)]).bulk(2).values.dtype == np.complex128
+
+    @pytest.mark.parametrize("base", [OnesProvider(), PeriodicProvider(COMPLEX_PERIOD)],
+                             ids=["real", "complex"])
+    def test_combinators_keep_their_base_dtype(self, base):
+        dtype = base.bulk(30).values.dtype
+        for prov in (VerticalShiftProvider(base, 0.5), ArgumentScaleProvider(base, 2, 0.25)):
+            assert prov.bulk(30).values.dtype == dtype
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["real-first", "real-second"])
+    def test_mixed_convolution_matches_the_complex_sweep(self, swap):
+        # real v times a complex row is the complex product with v + 0i
+        real = VerticalShiftProvider(OnesProvider(), 0.5)
+        periodic = PeriodicProvider(COMPLEX_PERIOD)
+
+        def conv(p1, p2):
+            return DirichletConvolutionProvider(*((p2, p1) if swap else (p1, p2)))
+
+        got = conv(real, periodic).bulk(2000).values
+        want = conv(AsComplex(real), periodic).bulk(2000).values
+        assert got.tobytes() == want.tobytes()
+
+
+class TestRealTablesKeepEveryBit:
+    # every consumer of a real table gives the bits it gave when the same
+    # values were stored as complex128
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_consumers_match_a_complex_copy(self, name):
+        L = get_preset(name)
+        C = dataclasses.replace(L, coefficients=AsComplex(L.coefficients))
+        assert C.coefficients.bulk(10).values.dtype == np.complex128
+        sp = SmoothingParams(X=300.0)
+        for t in (np.array([37.25]), np.linspace(20.0, 45.0, 40)):
+            got = SmoothedLineEvaluator(L, sp).values(t)
+            want = SmoothedLineEvaluator(C, sp).values(t)
+            assert got.tobytes() == want.tobytes(), t.size
+        alpha, sp = L.resonance_alpha(1), SmoothingParams()
+        T_grid = [32.0, 64.0, 128.0, 256.0]
+        assert repr(run_twist_scan(L, alpha, T_grid, sp)) == repr(
+            run_twist_scan(C, alpha, T_grid, sp))
+        assert repr(H_sum_side(L, alpha, 20.0, sp)) == repr(H_sum_side(C, alpha, 20.0, sp))
+        assert repr(abs_partial_sum(L, 5000.0)) == repr(abs_partial_sum(C, 5000.0))
+
+
+#: every chunk width conv_chunks can produce: the most limbs of a width in
+#: 2.._MAX_WIDTH that fit in 62 bits
+CHUNK_WIDTHS = sorted({w * (exactconv._CHUNK_BITS // w)
+                       for w in range(2, exactconv._MAX_WIDTH + 1)})
+
+
+def ties(bits: int):
+    """Values of bit length about `bits` (>= 54) at, or one off, a tie
+    between two floats, of either sign."""
+    return st.builds(
+        lambda mant, off, sign: sign * ((mant << (bits - 53)) + (1 << (bits - 54)) + off),
+        st.integers(1 << 52, (1 << 53) - 1), st.sampled_from([-1, 0, 1]),
+        st.sampled_from([-1, 1]))
+
+
+@st.composite
+def chunked_values(draw):
+    """(chunks, width, values): 1-8 integers in conv_chunks' form, 1-4
+    chunks of `width` bits with the top chunk signed."""
+    width = draw(st.sampled_from(CHUNK_WIDTHS))
+    count = draw(st.integers(1, 4))
+    top = (count - 1) * width + 62  # |v| < 2^top keeps the top chunk in int64
+    value = st.one_of(st.integers(-(1 << top), (1 << top) - 1),
+                      st.integers(-(1 << 62), (1 << 62) - 1),
+                      st.integers(54, top).flatmap(ties))
+    values = draw(st.lists(value, min_size=1, max_size=8))
+    mask = (1 << width) - 1
+    chunks = [np.array([(v >> (q * width)) & mask for v in values], dtype=np.int64)
+              for q in range(count - 1)]
+    chunks.append(np.array([v >> ((count - 1) * width) for v in values], dtype=np.int64))
+    return chunks, width, values
+
+
+class TestDigitChunks:
+    def test_chunk_widths(self):
+        assert CHUNK_WIDTHS[0] == 42 and CHUNK_WIDTHS[-1] == 62
+
+    @settings(max_examples=300, deadline=None)
+    @given(chunked_values())
+    def test_finishers_match_python_ints(self, case):
+        chunks, width, values = case
+        got = exactconv.chunks_to_float(chunks, width)
+        assert got.tobytes() == np.array([float(v) for v in values]).tobytes()
+        assert exactconv.chunks_to_ints(chunks, width) == values
+        as_int64 = exactconv.chunks_to_int64(chunks, width)
+        if all(-(1 << 63) <= v < (1 << 63) for v in values):
+            assert as_int64.dtype == np.int64 and as_int64.tolist() == values
+        else:
+            assert as_int64 is None
+
+    def test_conv_exact_reads_the_chunks(self):
+        rng = np.random.default_rng(5)
+        a = rng.integers(-(1 << 40), 1 << 40, size=300)
+        chunks, width = exactconv.conv_chunks(a, a, 400)
+        assert len(chunks) > 1
+        assert conv_exact(a, a, 400) == exactconv.chunks_to_ints(chunks, width)
+        assert conv_exact(a, a, 400) == schoolbook(a.tolist(), a.tolist(), 400)
