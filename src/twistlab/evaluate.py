@@ -15,26 +15,30 @@ sigma = 1/2, zeta-scaled at the default X is off by 1.0e-7 at t = 30 and
 4.5e-5 at t = 50, and zeta-sq at X = 1e3 by 9.6 at t = 300, each with
 tail_bound 1.1e-12 (ROADMAP open item 2).
 
-The series are summed by Taylor blocks (Odlyzko-Schoenhage, Trans. AMS 309,
-1988; Hiary, Ann. of Math. 174, 2011): each t is snapped to the nearest
-centre m on the grid of multiples of the evaluator's `spacing`, one phase
-row e^{-im ln n} is formed per centre, and the remaining factor
-e^{-i(t-m) ln n} is a short Taylor series in t - m whose coefficients are
-BLAS products of that row with real moment tables Re c_n (ln n - lambda)^k
-and Im c_n (ln n - lambda)^k (one table when c_n is real, as in every
-preset).  The centres form an arithmetic progression: the row of centre
-j = 32 J + r is an anchor row e^{-i 32 J spacing ln n} times row r of an
-offset block formed once per evaluator, with the spacing rounded down to 8
-significant bits so that both arguments are exact.  The phase is completely
-multiplicative in n, so each anchor row and the offset block take an
-exponential at each prime n and one product at each composite (the sieve
-behind Odlyzko-Schoenhage evaluation of zeta).  The evaluator keeps every
-centre's products, so a later call on the same centres (the next quadrature
-level) pays only Horner steps, and a t's value does not depend on the calls
-made before.  The corrections take log Gamma and psi at each t itself: with
-one-period quadrature panels there are about as many nodes as centres.  A
-single t is summed directly: one phase row and one numpy sum per series, in a
-fixed order that does not depend on the BLAS thread count.
+The series are summed by Chebyshev blocks (Odlyzko-Schoenhage, Trans. AMS
+309, 1988; Boyd, Chebyshev and Fourier Spectral Methods, 2001): each t is
+snapped to the nearest centre m on the grid of multiples of the evaluator's
+`spacing` s, one phase row e^{-im ln n} is formed per centre, and the
+remaining factor e^{-i(t-m) ln n} is e^{-i(t-m) lambda} times a short
+Jacobi-Anger (Chebyshev) series in x = 2(t - m)/s whose coefficients are
+BLAS products of that row with real moment tables
+Re c_n J_k((ln n - lambda) s/2) and Im c_n J_k((ln n - lambda) s/2) (one
+table when c_n is real, as in every preset).  Its k-th term is bounded by
+(r/2)^k/k! where a Taylor series in t - m has r^k/k!, so at the same order
+the centres sit three times further apart.  The centres form an arithmetic
+progression: the row of centre j = 8 J + r is an anchor row
+e^{-i 8 J spacing ln n} times row r of an offset block formed once per
+evaluator, with the spacing rounded down to 8 significant bits so that
+both arguments are exact.  The phase is completely multiplicative in n, so
+each anchor row and the offset block take an exponential at each prime n
+and one product at each composite (the sieve behind Odlyzko-Schoenhage
+evaluation of zeta).  The evaluator keeps every centre's products, so a
+later call on the same centres (the next quadrature level) pays only
+Clenshaw steps, and a t's value does not depend on the calls made before.
+The corrections take log Gamma and psi at each t itself: with one-period
+quadrature panels there are about as many nodes as centres.  A single t
+is summed directly: one phase row and one numpy sum per series, in a fixed
+order that does not depend on the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -56,13 +60,14 @@ _POLE_RADIUS = 1e-6
 _FE_SAFE_RADIUS = 0.25
 _K_TERMS = 2
 _MIN_T_FOR_FE_CORRECTION = 2.0
-# Taylor-block kernel: a node t sits within |u| <= spacing/2 of its centre,
-# and r = max|u| * max|ln n - lambda| <= _TAYLOR_RADIUS, so rounding grows by
-# at most e^r over the dense sum.
-_TAYLOR_RADIUS = 2.0
+# Chebyshev-block kernel: a node t sits within |u| <= spacing/2 of its
+# centre, and r = max|u| * max|ln n - lambda| <= _KERNEL_RADIUS.  The
+# expansion's rounding grows over the dense sum's by at most
+# max_{|z| <= r} sum_k eps_k |J_k(z)|, which is 3.78 at r = 6.
+_KERNEL_RADIUS = 6.0
 # centres per anchor row, and rows of each evaluator's offset block (see
 # SmoothedLineEvaluator._phase_products)
-_BLOCK = 32
+_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -129,18 +134,69 @@ def _truncation_count(K: float, c: float, x: float, X: float, p: float,
     return max(8, lo), bound(max(8, lo))
 
 
-def _taylor_order(r: float) -> int:
-    """Smallest K >= 1 whose certified Taylor remainder r^K/K! e^r, relative
-    to sum |c_n|, falls below 2^-53."""
+def _chebyshev_order(r: float) -> int:
+    """Smallest K >= 1 whose Jacobi-Anger remainder
+    sum_{k>=K} 2 |J_k(z)| <= 2 (r/2)^K/K! / (1 - r/(2K+2)), |z| <= r,
+    relative to sum |c_n|, falls below 2^-53."""
     K = 1
-    while r ** K / math.factorial(K) * math.exp(r) >= 2.0 ** -53:
+    while (r >= 2 * K + 2 or 2.0 * (r / 2.0) ** K / math.factorial(K)
+           / (1.0 - r / (2 * K + 2)) > 2.0 ** -53):
         K += 1
     return K
 
 
-# the Taylor order of every multi-point call: a t lies within spacing/2 of its
-# centre, and spacing/2 * lambda = _TAYLOR_RADIUS
-_ORDER = _taylor_order(_TAYLOR_RADIUS)
+# the Chebyshev order of every multi-point call: a t lies within spacing/2 of
+# its centre, and spacing/2 * lambda = _KERNEL_RADIUS
+_ORDER = _chebyshev_order(_KERNEL_RADIUS)
+
+
+def _bessel_table(z: np.ndarray, order: int) -> np.ndarray:
+    """J_k(z), k < order, one row per k, by Miller's backward recurrence:
+    the ratios rho_k = J_k/J_{k-1} = z/(2k - z rho_{k+1}) are taken from
+    rho = 0 twelve orders above `order` down to rho_1, multiplied out from
+    J_0 = 1 and normalised by J_0 + 2 sum_k J_2k = 1.  The ratio form needs
+    no division by z, so z = 0 gives J_0 = 1 and J_k = 0 for k > 0."""
+    top = order + 12
+    J = np.empty((top, z.size))
+    ratio = np.zeros(z.shape)
+    for k in range(top - 1, 0, -1):
+        ratio = np.divide(z, 2.0 * k - z * ratio, out=J[k])
+    J[0] = 1.0
+    for k in range(1, top):
+        J[k] *= J[k - 1]
+    J /= J[0] + 2.0 * J[2::2].sum(axis=0)
+    return J[:order]
+
+
+def _chebyshev_sum(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k a[k] T_k(x) for real coefficients a of shape (order, ...,
+    nodes) and x of shape (nodes,), by the Clenshaw recurrence
+    b_k = a_k + 2x b_{k+1} - b_{k+2}, sum = a_0 + x b_1 - b_2.  Complex
+    coefficients are summed as their real and imaginary parts, so that
+    each product by 2x is real."""
+    x2 = 2.0 * x
+    b1, b2, step = a[-1].copy(), np.zeros(a.shape[1:]), np.empty(a.shape[1:])
+    for k in range(a.shape[0] - 2, 0, -1):
+        np.multiply(x2, b1, out=step)
+        step += a[k]
+        step -= b2
+        b1, b2, step = step, b1, b2
+    np.multiply(x, b1, out=step)
+    step += a[0]
+    step -= b2
+    return step
+
+
+#: eps_k (-i)^k, k < _ORDER: the Jacobi-Anger weights of
+#: e^{-ixz} = sum_k eps_k (-i)^k J_k(z) T_k(x), eps_0 = 1 and eps_k = 2
+_WEIGHTS = np.array([1.0] + [(-2j, -2.0, 2j, 2.0)[(k - 1) % 4] for k in range(1, _ORDER)])
+
+
+def _check_finite_t(t) -> None:
+    if not np.isfinite(t).all():
+        t = np.ravel(t)
+        bad = t[~np.isfinite(t)][0]
+        raise ValueError(f"t must be finite, got t={float(bad)!r}")
 
 
 def _check_pole_proximity(L: LSeriesInstance, s: complex) -> None:
@@ -158,6 +214,7 @@ def smoothed_value(L: LSeriesInstance, z: complex, t: float,
     contour residues are removed, so the value approximates F itself rather
     than the bare smoothed object.
     """
+    _check_finite_t(t)
     s = complex(z) + 1j * t
     _check_pole_proximity(L, s)
     if sp.X is None:
@@ -305,12 +362,12 @@ class SmoothedLineEvaluator:
     conjugated pole.  `tail` bounds the truncation error of the series plus
     that of every residue series.
 
-    `values` sums a single t directly and several t by Taylor blocks:
+    `values` sums a single t directly and several t by Chebyshev blocks:
     centres at the multiples of `spacing`, so that |t - m| |ln n - lambda|
-    <= 2 with lambda = ln(width)/2 (the spacing 4/lambda rounded down to 8
-    significant bits), and the smallest order K whose certified remainder
-    is below 2^-53.  Each centre's sums are formed once and kept for the
-    evaluator's lifetime, so values do not depend on call history; the
+    <= 6 with lambda = ln(width)/2 (the spacing 12/lambda rounded down to 8
+    significant bits), and the smallest order K (29) whose Jacobi-Anger
+    remainder is below 2^-53.  Each centre's sums are formed once and kept
+    for the evaluator's lifetime, so values do not depend on call history; the
     corrections take log Gamma and psi at every t.  `width` is the longest
     series, and `phase_evals` counts the phase entries formed so far (an
     exponential at each prime n, one product at each composite, or one
@@ -353,13 +410,13 @@ class SmoothedLineEvaluator:
         table = L.coefficients.bulk(width).values
         n = np.arange(1, width + 1, dtype=np.float64)
         self._lnn = np.log(n)
-        # Taylor variable ln n - lambda: lambda centres it on [0, ln width],
+        # kernel variable ln n - lambda: lambda centres it on [0, ln width],
         # so |ln n - lambda| <= lambda
         self._lam = 0.5 * math.log(width)
         # rounded down to 8 significant bits, so that a centre j spacing and
         # the parts (j - r) spacing and r spacing of its phase row are exact
         # (_phase_products)
-        mantissa, exponent = math.frexp(2.0 * _TAYLOR_RADIUS / self._lam)
+        mantissa, exponent = math.frexp(2.0 * _KERNEL_RADIUS / self._lam)
         self.spacing = math.ldexp(math.floor(mantissa * 256.0) / 256.0, exponent)
         self.phase_evals = 0
         self._pole_locations = np.array(
@@ -379,10 +436,11 @@ class SmoothedLineEvaluator:
                     f"weighted coefficients a_n e^(-(n/X)^p) n^(-sigma) at "
                     f"sigma={x!r} are not finite, first at n={bad[0] + 1}")
         # (sorted centre indices, their per-centre sums)
-        self._cache = (np.empty(0), np.empty((_ORDER, len(series), 0), dtype=complex))
+        self._cache = (np.empty(0), np.empty((_ORDER, len(series), 2, 0)))
 
     def values(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
+        _check_finite_t(t)
         sums = self._series_sums(t)
         return sums[0] - self._corrections(t, np.conj(sums[1:]))
 
@@ -409,18 +467,17 @@ class SmoothedLineEvaluator:
     def _moments(self):
         """Each series' moment tables: for the real and the imaginary part
         of c_n, when it is not all zero, its unit (1 or i) and the real
-        (order, terms) table Re or Im c_n (ln n - lambda)^k / k!, k < _ORDER.
-        A real c_n (a float64 table) has no imaginary part to look at."""
-        powers = np.vander(self._lnn - self._lam, _ORDER, increasing=True)
-        powers /= [float(math.factorial(k)) for k in range(_ORDER)]
-        powers = np.ascontiguousarray(powers.T)
+        (order, terms) table Re or Im c_n J_k((ln n - lambda) spacing/2),
+        k < _ORDER (_bessel_table).  A real c_n (a float64 table) has no
+        imaginary part to look at."""
+        bessel = _bessel_table((self._lnn - self._lam) * (0.5 * self.spacing), _ORDER)
 
         def parts(coef):
             if np.iscomplexobj(coef):
                 return (1.0, coef.real), (1j, coef.imag)
             return ((1.0, coef),)
 
-        return [[(unit, part * powers[:, :coef.size])
+        return [[(unit, part * bessel[:, :coef.size])
                  for unit, part in parts(coef) if part.any()]
                 for coef in self._coefs]
 
@@ -450,13 +507,14 @@ class SmoothedLineEvaluator:
                 yield c, np.multiply(anchor, offsets[r[c]], out=row)
 
     def _form_sums(self, index: np.ndarray):
-        """S_k(m) / k!, k < _ORDER, of every series at the centres
-        m = j spacing, j in `index`, as one (order, series, centres) array.
-        Each centre's phase row (_phase_products) is copied to a (2, terms)
-        real array, whose product with the transpose of each real moment
-        table gives the real and imaginary parts of S_k per part of c_n;
-        S = S_re + i S_im.  The products are taken one centre at a time, so
-        that a centre's S_k do not depend on the centres formed with it."""
+        """eps_k (-i)^k C_k(m), k < _ORDER, of every series at the centres
+        m = j spacing, j in `index`, as one real (order, series, re/im,
+        centres) array (see _series_sums).  Each centre's phase row
+        (_phase_products) is copied to a (2, terms) real array, whose
+        product with the transpose of each real moment table gives the real
+        and imaginary parts of C_k per part of c_n; C = C_re + i C_im.  The
+        products are taken one centre at a time, so that a centre's C_k do
+        not depend on the centres formed with it."""
         width = self._lnn.size
         # per series and part of c_n, each centre's (2, order) real product;
         # in this (2, terms) @ (terms, order) form the bits do not depend on
@@ -469,24 +527,31 @@ class SmoothedLineEvaluator:
             for tables, out in zip(self._moments, products):
                 for (_, table), part in zip(tables, out):
                     np.matmul(planar[:, :table.shape[1]], table.T, out=part[c])
-        S = np.zeros((_ORDER, len(self._moments), index.size), dtype=complex)
+        C = np.zeros((_ORDER, len(self._moments), index.size), dtype=complex)
         for i, (tables, out) in enumerate(zip(self._moments, products)):
             for (unit, _), part in zip(tables, out):
-                S[:, i] += unit * (part[:, 0] + 1j * part[:, 1]).T
-        return S
+                C[:, i] += unit * (part[:, 0] + 1j * part[:, 1]).T
+        C *= _WEIGHTS[:, None, None]
+        return np.stack([C.real, C.imag], axis=2)
 
     def _series_sums(self, t: np.ndarray) -> np.ndarray:
         """Every series sum_n c_n e^{-it ln n} at every t, one row per
         series.  A lone t is its own centre: one phase row (_phase_rows),
         summed by numpy in an order that does not depend on the BLAS thread
-        count, and not cached.  Otherwise by Taylor blocks: with
-        m = rint(t / spacing) spacing the centre of t and u = t - m,
+        count, and not cached.  Otherwise by Chebyshev blocks: with
+        m = rint(t / spacing) spacing the centre of t, u = t - m and
+        x = 2u / spacing in [-1, 1], the Jacobi-Anger expansion of
+        e^{-iu(ln n - lambda)} gives
 
-            sum_n c_n e^{-it ln n} = e^{-iu lambda} sum_{k<K} (-iu)^k S_k(m)/k!,
-            S_k(m) = sum_n c_n (ln n - lambda)^k e^{-im ln n}.
+            sum_n c_n e^{-it ln n}
+                = e^{-iu lambda} sum_{k<K} eps_k (-i)^k C_k(m) T_k(x),
+            C_k(m) = sum_n c_n J_k((ln n - lambda) spacing/2) e^{-im ln n},
 
-        The S_k of each centre are formed once per evaluator (_form_sums)
-        and kept; each call pays only the Horner step at its nodes."""
+        with eps_0 = 1, eps_k = 2 and T_k the Chebyshev polynomials.  The
+        weighted C_k of each centre are formed once per evaluator
+        (_form_sums) and kept; each call pays only the Clenshaw recurrence
+        b_k = a_k + 2x b_{k+1} - b_{k+2} at its nodes, in real arithmetic
+        on the (re, im) pairs."""
         if t.size == 0:
             return np.empty((len(self._coefs), 0), dtype=complex)
         if t.size == 1:
@@ -495,14 +560,10 @@ class SmoothedLineEvaluator:
             return np.array([np.sum(phases[:, :coef.size] * coef, axis=-1)
                              for coef in self._coefs])
         index = np.rint(t / self.spacing)
-        S, column = self._tables(index)
-        S = np.take(S, column, axis=2)
-        x = -1j * (t - index * self.spacing)
-        acc = S[_ORDER - 1]
-        for k in range(_ORDER - 2, -1, -1):
-            acc *= x
-            acc += S[k]
-        return np.exp(self._lam * x) * acc
+        C, column = self._tables(index)
+        u = t - index * self.spacing
+        sums = _chebyshev_sum(C[..., column], (2.0 / self.spacing) * u)
+        return np.exp(-1j * self._lam * u) * (sums[:, 0] + 1j * sums[:, 1])
 
     def _applied(self, t: np.ndarray) -> np.ndarray:
         """Where each residue is applied: |t| >= 2 with the reflected point

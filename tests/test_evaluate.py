@@ -4,6 +4,7 @@ zeta and beta reference values were computed ahead of the build with a
 25-digit arbitrary-precision library and frozen here.
 """
 import math
+import re
 import sys
 import threading
 
@@ -128,7 +129,7 @@ def kernel_series(name):
 
 def panel_nodes_of_K_T(name, T):
     """Gauss-Legendre nodes on K_T = [2 alpha T, 3 alpha T], 128 panels:
-    several nodes per Taylor centre, as in H_direct."""
+    several nodes per Chebyshev centre, as in H_direct."""
     alpha = kernel_series(name).resonance_alpha(1)
     return _panel_nodes(2.0 * alpha * T, 3.0 * alpha * T, 128)[0]
 
@@ -342,6 +343,22 @@ class TestLineEvaluator:
     def test_needs_explicit_cutoff(self):
         with pytest.raises(ValueError):
             SmoothedLineEvaluator(get_preset("zeta"), SmoothingParams())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_t(self, bad):
+        # a nan once raised a bare int conversion error, an inf an
+        # IndexError from the phase rows, and smoothed_value a BudgetError
+        L, sp = get_preset("zeta"), SmoothingParams(X=1000.0)
+        message = f"t must be finite, got t={bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SmoothedLineEvaluator(L, sp).values(np.array([20.0, bad, 30.0]))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SmoothedLineEvaluator(L, sp).values(np.array([bad]))
+        for call_sp in (sp, SmoothingParams()):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                smoothed_value(L, 0.5, bad, call_sp)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fe_cross_check(L, bad, SmoothingParams())
 
     def test_refuses_overflowing_coefficients(self):
         # far left of the strip e^{-(n/X)^p} n^{300} overflows below X, where
@@ -575,6 +592,58 @@ class TestPhaseRows:
                     assert all(np.array_equal(g, w) for g, w in zip(got[i], want[i])), cases[i]
         finally:
             sys.setswitchinterval(interval)
+
+
+#: the zeros of J_0 and J_1 in (0, 6] and the zero argument
+BESSEL_ZEROS = (2.404825557695773, 5.520078110286311, 3.8317059702075125, 0.0)
+
+
+def kernel_z_grid(step):
+    """z on [-r, r], r the kernel radius, with the points of BESSEL_ZEROS
+    and their negatives."""
+    r = evaluate._KERNEL_RADIUS
+    grid = np.arange(-r, r + step / 2.0, step)
+    return np.concatenate([grid, BESSEL_ZEROS, np.negative(BESSEL_ZEROS)])
+
+
+class TestChebyshevKernel:
+    # bounds in ulps of 1 (2^-52), fixed before the first run: |J_k| <= 1,
+    # so an absolute bound is the one that matters to the sums
+    BESSEL_ULPS = 4
+    EXPANSION_ULPS = 16
+
+    def test_order_meets_its_remainder_bound(self):
+        K, r = evaluate._ORDER, evaluate._KERNEL_RADIUS
+        assert K == 29
+
+        def remainder(k):
+            return 2.0 * (r / 2.0) ** k / math.factorial(k) / (1.0 - r / (2 * k + 2))
+        assert remainder(K) <= 2.0 ** -53 < remainder(K - 1)
+
+    def test_bessel_table_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        z = kernel_z_grid(0.125)
+        got = evaluate._bessel_table(z, evaluate._ORDER)
+        assert got.shape == (evaluate._ORDER, z.size)
+        with mpmath.workdps(30):
+            want = np.array([[float(mpmath.besselj(k, mpmath.mpf(float(x)))) for x in z]
+                             for k in range(evaluate._ORDER)])
+        assert np.abs(got - want).max() <= self.BESSEL_ULPS * 2.0 ** -52
+        # z = 0 is exact
+        zero = np.flatnonzero(z == 0.0)
+        assert np.all(got[0, zero] == 1.0) and np.all(got[1:, zero] == 0.0)
+
+    def test_truncated_jacobi_anger_sum_is_the_exponential(self):
+        # sum_{k<K} eps_k (-i)^k J_k(z) T_k(x) by the kernel's own table,
+        # weights and Clenshaw sum, at |x| <= 1 and |z| <= r
+        z = kernel_z_grid(0.05)
+        x = np.concatenate([np.linspace(-1.0, 1.0, 201), [-1.0, 1.0, 0.0]])
+        coef = evaluate._WEIGHTS[:, None] * evaluate._bessel_table(z, evaluate._ORDER)
+        planar = np.stack([coef.real, coef.imag], axis=1)[..., None]
+        got = evaluate._chebyshev_sum(np.broadcast_to(planar, planar.shape[:-1] + x.shape), x)
+        got = got[0] + 1j * got[1]
+        want = np.exp(-1j * np.multiply.outer(z, x))
+        assert np.abs(got - want).max() <= self.EXPANSION_ULPS * 2.0 ** -52
 
 
 #: (preset, sigma, nodes, evaluator X): the correction cases
