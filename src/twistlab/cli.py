@@ -9,7 +9,8 @@ byte-identical bytes.
 
 Exit codes: 0 success, 1 usage error, 2 computation error, 3 failed
 certificate under --strict.  The TWISTLAB_BUDGET environment variable
-overrides the default 1e9 operation budget.
+overrides the default 1e9 operation budget of the direct-quadrature route;
+TWISTLAB_BUDGET=inf lifts it.
 """
 from __future__ import annotations
 
@@ -279,8 +280,7 @@ def _cmd_transform(args) -> int:
            if "fe" in requested and args.m >= 1 else None)
     rows = []
     for T in parse_grid(args.T_grid):
-        rep = run_transform(L, args.m, T, sp, routes=requested, force=args.force,
-                            a_m=a_m)
+        rep = run_transform(L, args.m, T, sp, routes=requested, a_m=a_m)
         value = dict(zip(ROUTES, (rep.direct, rep.sum_side, rep.fe_side)))
         rows.append((_fmt(T), *(x for r in routes for x in _fmt_complex(value[r])),
                      *(_fmt(rep.deviations[f"{a}-{b}"]) for a, b in pairs)))
@@ -394,8 +394,6 @@ def _build_parser() -> _Parser:
                 resonance=True)
     p.add_argument("--T-grid", dest="T_grid", default="50:200:geom2")
     p.add_argument("--routes", default=",".join(ROUTES))
-    p.add_argument("--force", action="store_true",
-                   help="override the operation-budget guard")
     p.add_argument("--ledger", action="store_true",
                    help="print the constant-convention notes and exit")
 

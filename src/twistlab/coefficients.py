@@ -24,8 +24,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import BudgetError
-from .exactconv import (chunks_to_float, chunks_to_int64, chunks_to_ints,
-                        conv_chunks, conv_exact)
+from .exactconv import chunks_to_float, chunks_to_ints, conv_chunks, conv_exact
 
 _MAX_BULK = 10 ** 7
 
@@ -201,33 +200,32 @@ def _eta3_sparse(N: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.asarray(idx, dtype=np.int64), np.asarray(val, dtype=np.int64)
 
 
-def _eta12(N: int):
+def _eta12(N: int) -> np.ndarray:
     """The coefficients of prod (1-q^m)^12 below q^N: an int64 array, or
-    Python ints when one of them needs more than 63 bits.
+    an object array of Python ints when one of them needs more than 63 bits.
 
     The cube-power sparse series, one sparse-sparse convolution to the
     sixth power (int64), then one exact squaring (conv_chunks) whose digit
-    chunks are folded straight to int64.  The sparse step takes about 5 %
-    of tau_integers at N = 65535."""
+    chunks chunks_to_ints folds.  The sparse step takes about 5 % of
+    tau_integers at N = 65535."""
     idx, val = _eta3_sparse(N)
     eta6 = np.zeros(N, dtype=np.int64)
     pair_idx = idx[:, None] + idx[None, :]
     pair_val = val[:, None] * val[None, :]
     mask = pair_idx < N
     np.add.at(eta6, pair_idx[mask], pair_val[mask])
-    chunks = conv_chunks(eta6, eta6, N)
-    eta12 = chunks_to_int64(*chunks)
-    return chunks_to_ints(*chunks) if eta12 is None else eta12
+    return chunks_to_ints(*conv_chunks(eta6, eta6, N))
 
 
 def tau_integers(N: int) -> List[int]:
     """Exact tau(1..N), index n at position n (position 0 unused).
 
-    eta^12 (_eta12, int64 while every value fits) is squared exactly by
-    conv_exact (floating-point FFT on short limbs under a proven round-off
-    bound), which returns Python ints; tau(n) is the q^{n-1} coefficient
-    of eta^24, so the list is shifted by one index.  RamanujanTauProvider
-    takes the same squaring's digit chunks to float64 instead."""
+    eta^12 (_eta12, int64 while every value fits, else Python ints) is
+    squared exactly by conv_exact (floating-point FFT on short limbs under
+    a proven round-off bound), which returns Python ints; tau(n) is the
+    q^{n-1} coefficient of eta^24, so the list is shifted by one index.
+    RamanujanTauProvider takes the same squaring's digit chunks to float64
+    instead."""
     N = _guard_bulk(N)
     eta12 = _eta12(N)
     return [0] + conv_exact(eta12, eta12, N)

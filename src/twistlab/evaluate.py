@@ -292,7 +292,7 @@ def reference_zeta(s: complex) -> complex:
 # The smoothed evaluator
 # ---------------------------------------------------------------------------
 
-# e^{-it ln n} is completely multiplicative in n, so _phase_rows takes an
+# e^{-it ln n} is completely multiplicative in n, so _phase_row takes an
 # exponential only at the primes.  The plan holds, for n = 1..size, the
 # columns n - 1 of the primes, of spf(n) (the smallest prime factor) and of
 # n / spf(n).  It is grown to the longest width asked for and published by
@@ -321,32 +321,27 @@ def _sieve_plan(width: int):
     return primes[:np.searchsorted(primes, width)], spf[:width], cofactor[:width]
 
 
-def _phase_rows(t: np.ndarray, lnn: np.ndarray) -> np.ndarray:
-    """e^{-it ln n}, n = 1..lnn.size, one row per t.  Cosine and sine of
-    t ln p are taken at the primes p only; then each dyadic block [M, 2M)
-    of n is formed in one step as the product of the entries at spf(n) and
-    n / spf(n).  For a composite both lie below M; a prime takes its own
-    entry times the 1 at n = 1, which is exact.  The block is built with
-    one row per n, so each gather moves whole rows, and is returned with
-    one contiguous row per t."""
+def _phase_row(t: float, lnn: np.ndarray) -> np.ndarray:
+    """e^{-it ln n}, n = 1..lnn.size.  Cosine and sine of t ln p are taken
+    at the primes p only; then each dyadic block [M, 2M) of n is formed in
+    one step as the product of the entries at spf(n) and n / spf(n).  For a
+    composite both lie below M; a prime takes its own entry times the 1 at
+    n = 1, which is exact."""
     width = lnn.size
     primes, spf, cofactor = _sieve_plan(width)
-    by_n = np.empty((width, t.size), dtype=complex)
-    arg = np.multiply.outer(lnn[primes], -t)
+    row = np.empty(width, dtype=complex)
+    arg = lnn[primes] * -t
     at_primes = np.empty(arg.shape, dtype=complex)
     np.cos(arg, out=at_primes.real)
     np.sin(arg, out=at_primes.imag)
-    by_n[primes] = at_primes
-    by_n[0] = 1.0
-    # one t: gather from the 1-d view, which numpy does about twice as fast
-    entries = by_n[:, 0] if t.size == 1 else by_n
+    row[primes] = at_primes
+    row[0] = 1.0
     M = 2
     while M <= width:
         block = slice(M - 1, min(2 * M, width + 1) - 1)
-        np.multiply(entries[spf[block]], entries[cofactor[block]],
-                    out=entries[block])
+        np.multiply(row[spf[block]], row[cofactor[block]], out=row[block])
         M *= 2
-    return np.ascontiguousarray(by_n.T)
+    return row
 
 
 class SmoothedLineEvaluator:
@@ -372,13 +367,16 @@ class SmoothedLineEvaluator:
     series, and `phase_evals` counts the phase entries formed so far (an
     exponential at each prime n, one product at each composite, or one
     anchor-times-offset product): `width` per single t summed, per centre
-    formed and per anchor row, and `_BLOCK * width` for the offset block.
+    formed and per anchor row, and `_BLOCK * width` for the offset block;
+    `phase_estimate` predicts it for nodes that cover an interval.
     """
 
     def __init__(self, L: LSeriesInstance, sp: SmoothingParams,
                  sigma: float = 0.5):
         if sp.X is None:
             raise ValueError("line evaluator needs an explicit X")
+        if not math.isfinite(sigma):
+            raise ValueError(f"sigma must be finite, got sigma={sigma!r}")
         self.L = L
         self.sp = sp
         self.sigma = sigma
@@ -444,6 +442,15 @@ class SmoothedLineEvaluator:
         sums = self._series_sums(t)
         return sums[0] - self._corrections(t, np.conj(sums[1:]))
 
+    def phase_estimate(self, a: float, b: float) -> float:
+        """The phase entries (see phase_evals) that values() forms on nodes
+        covering [a, b]: `width` per centre, with the centres `spacing`
+        apart, per anchor row (one per _BLOCK centres) and per row of the
+        offset block.  The evaluator keeps each centre's sums, so the
+        quadrature levels after the first form no new row."""
+        centres = (b - a) / self.spacing + 1.0
+        return self.width * (centres + centres / _BLOCK + 1.0 + _BLOCK)
+
     def _tables(self, index: np.ndarray):
         """The cached per-centre sums (see _form_sums), after forming those
         of the centres in `index` not seen before, and the column of each
@@ -484,7 +491,7 @@ class SmoothedLineEvaluator:
     @functools.cached_property
     def _offsets(self):
         """The offset block e^{-ir spacing ln n}, r < _BLOCK, one row per r."""
-        block = _phase_rows(np.arange(_BLOCK) * self.spacing, self._lnn)
+        block = np.stack([_phase_row(r * self.spacing, self._lnn) for r in range(_BLOCK)])
         self.phase_evals += block.size
         return block
 
@@ -492,7 +499,7 @@ class SmoothedLineEvaluator:
         """(c, e^{-i index[c] spacing ln n}) for every c, in one row buffer
         that the next item overwrites.  The row of j = _BLOCK J + r,
         0 <= r < _BLOCK, is the anchor row e^{-i _BLOCK J spacing ln n}
-        (_phase_rows, one per J) times row r of the offset block.  The
+        (_phase_row, one per J) times row r of the offset block.  The
         spacing has 8 significant bits, so j spacing, _BLOCK J spacing and
         r spacing are exact and the row depends on j alone."""
         offsets, width = self._offsets, self._lnn.size
@@ -500,7 +507,7 @@ class SmoothedLineEvaluator:
         r = (index - group * _BLOCK).astype(np.intp)
         row = np.empty(width, dtype=complex)
         for J in np.unique(group):
-            anchor = _phase_rows(np.array([J * _BLOCK * self.spacing]), self._lnn)[0]
+            anchor = _phase_row(J * _BLOCK * self.spacing, self._lnn)
             centres = np.flatnonzero(group == J)
             self.phase_evals += width * (1 + centres.size)
             for c in centres:
@@ -536,7 +543,7 @@ class SmoothedLineEvaluator:
 
     def _series_sums(self, t: np.ndarray) -> np.ndarray:
         """Every series sum_n c_n e^{-it ln n} at every t, one row per
-        series.  A lone t is its own centre: one phase row (_phase_rows),
+        series.  A lone t is its own centre: one phase row (_phase_row),
         summed by numpy in an order that does not depend on the BLAS thread
         count, and not cached.  Otherwise by Chebyshev blocks: with
         m = rint(t / spacing) spacing the centre of t, u = t - m and
@@ -555,10 +562,9 @@ class SmoothedLineEvaluator:
         if t.size == 0:
             return np.empty((len(self._coefs), 0), dtype=complex)
         if t.size == 1:
-            phases = _phase_rows(t, self._lnn)
-            self.phase_evals += phases.size
-            return np.array([np.sum(phases[:, :coef.size] * coef, axis=-1)
-                             for coef in self._coefs])
+            row = _phase_row(t[0], self._lnn)
+            self.phase_evals += row.size
+            return np.array([[np.sum(row[:coef.size] * coef)] for coef in self._coefs])
         index = np.rint(t / self.spacing)
         C, column = self._tables(index)
         u = t - index * self.spacing

@@ -13,11 +13,10 @@ packed into int64 chunks.
 That exact core, conv_chunks, returns the chunks: value = sum_q chunk_q 2^{q C},
 where the chunk width C (42 to 62 bits) is a whole number of digits; every
 chunk but the top one holds an unsigned C-bit digit group, and the top one
-is signed.  Two finishers read them: chunks_to_ints builds the Python ints
-that conv_exact returns, and chunks_to_float rounds each value to the
-nearest float64 (ties to even) without leaving numpy.  chunks_to_int64
-folds them into one int64 array when every value fits, for a result that
-is squared again.
+is signed.  Two finishers read them: chunks_to_ints folds them into the
+exact values, an int64 array while every value fits and Python ints
+otherwise (conv_exact returns them as a list), and chunks_to_float rounds
+each value to the nearest float64 (ties to even) without leaving numpy.
 
 B is the widest limb for which Percival's bound on the FFT round-off
 (C. Percival, Math. Comp. 72 (2003) 387-395, Thm. 5.1) stays below 1/4:
@@ -150,24 +149,15 @@ def conv_chunks(a: Sequence[int], b: Sequence[int],
     return chunks, width * per_chunk
 
 
-def chunks_to_ints(chunks: List[np.ndarray], chunk_bits: int) -> List[int]:
-    """The values sum_q chunks[q] 2^{q chunk_bits} (conv_chunks) as Python ints."""
-    out = chunks[-1]
-    if len(chunks) > 1:
-        out = out.astype(object)
-        for chunk in reversed(chunks[:-1]):
-            out <<= chunk_bits
-            out |= chunk
-    return out.tolist()
-
-
-def chunks_to_int64(chunks: List[np.ndarray], chunk_bits: int):
-    """The values sum_q chunks[q] 2^{q chunk_bits} (conv_chunks) as one
-    int64 array, or None when one of them lies outside [-2^63, 2^63)."""
+def chunks_to_ints(chunks: List[np.ndarray], chunk_bits: int) -> np.ndarray:
+    """The values sum_q chunks[q] 2^{q chunk_bits} (conv_chunks): an int64
+    array while every value lies in [-2^63, 2^63), else an object array of
+    Python ints.  From the top chunk down, the partial values move to
+    Python ints once one of them would leave int64 at the next shift."""
     out, limit = chunks[-1], 1 << (63 - chunk_bits)
     for chunk in reversed(chunks[:-1]):
-        if ((out < -limit) | (out >= limit)).any():
-            return None
+        if out.dtype != object and ((out < -limit) | (out >= limit)).any():
+            out = out.astype(object)
         out = (out << chunk_bits) | chunk
     return out
 
@@ -201,4 +191,4 @@ def chunks_to_float(chunks: List[np.ndarray], chunk_bits: int) -> np.ndarray:
 
 def conv_exact(a: Sequence[int], b: Sequence[int], out_len: int) -> List[int]:
     """Exact (signed) integer convolution of a and b, first out_len coeffs."""
-    return chunks_to_ints(*conv_chunks(a, b, out_len))
+    return chunks_to_ints(*conv_chunks(a, b, out_len)).tolist()

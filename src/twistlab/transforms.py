@@ -47,7 +47,7 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .errors import BudgetError, PoleError, ResonanceError
-from .evaluate import _BLOCK, SmoothedLineEvaluator
+from .evaluate import SmoothedLineEvaluator
 from .model import LSeriesInstance, SmoothingParams
 from .oscillatory import PhaseFamily, integrate_oscillatory
 from .summation import compensated_sum
@@ -83,23 +83,12 @@ def _require_transform_degree(L: LSeriesInstance) -> float:
     return d
 
 
-def _phase_estimate(line: SmoothedLineEvaluator, a: float, b: float) -> float:
-    """Phase entries H_direct expects `line` to form on [a, b]: `width` per
-    centre, with the centres `line.spacing` apart, per anchor row (one per
-    _BLOCK centres) and per row of the offset block (an exponential at each
-    prime n, one product at each composite, or one anchor-times-offset
-    product).  The line keeps each centre's sums, so every quadrature level
-    after the first reuses them."""
-    centres = (b - a) / line.spacing + 1.0
-    return line.width * (centres + centres / _BLOCK + 1.0 + _BLOCK)
-
-
-def H_direct(L: LSeriesInstance, alpha: float, T: float, sp: SmoothingParams,
-             force: bool = False) -> complex:
+def H_direct(L: LSeriesInstance, alpha: float, T: float,
+             sp: SmoothingParams) -> complex:
     """Direct quadrature route.  Cost is the line evaluator's phase
-    entries (see _phase_estimate); configurations whose estimate
-    exceeds the operation budget (TWISTLAB_BUDGET, default 1e9) are refused
-    unless force=True."""
+    entries (SmoothedLineEvaluator.phase_estimate); configurations whose
+    estimate exceeds the operation budget (TWISTLAB_BUDGET, default 1e9;
+    inf lifts it) are refused."""
     d = _require_transform_degree(L)
     budget = _budget()
     # the resonance phase d t log(t/(e alpha)) is I_n's phase at n = 1
@@ -111,11 +100,11 @@ def H_direct(L: LSeriesInstance, alpha: float, T: float, sp: SmoothingParams,
     X = sp.cutoff(T, d)
     line = SmoothedLineEvaluator(L, sp.with_X(X))
 
-    cost = _phase_estimate(line, a, b)
-    if cost > budget and not force:
+    cost = line.phase_estimate(a, b)
+    if cost > budget:
         raise BudgetError(
             f"H_direct estimated cost {cost:.2e} exceeds budget "
-            f"{budget:.2e}; pass force=True or raise TWISTLAB_BUDGET")
+            f"{budget:.2e}; raise TWISTLAB_BUDGET (inf lifts it)")
     tol = max(1e-8, 1e-4 * T)
     res = integrate_oscillatory(lambda t: pf.f(t) - math.pi / 4.0, (a, b), tol,
                                 dphase=pf.fprime, amplitude=line.values)
@@ -198,7 +187,6 @@ def _pair_dev(x: complex, y: complex) -> float:
 
 def run_transform(L: LSeriesInstance, m: int, T: float, sp: SmoothingParams,
                   routes: Sequence[str] = ROUTES,
-                  force: bool = False,
                   a_m: Optional[complex] = None) -> TransformReport:
     """Evaluate the requested H routes (names from ROUTES) at one T and
     report pairwise relative deviations |a - b| / max(|a|, |b|), keyed
@@ -210,7 +198,7 @@ def run_transform(L: LSeriesInstance, m: int, T: float, sp: SmoothingParams,
     alpha = L.resonance_alpha(m)
     values: Dict[str, complex] = {}
     if "direct" in routes:
-        values["direct"] = H_direct(L, alpha, T, sp, force=force)
+        values["direct"] = H_direct(L, alpha, T, sp)
     if "sum" in routes:
         values["sum"] = H_sum_side(L, alpha, T, sp)
     if "fe" in routes:

@@ -286,6 +286,14 @@ class TestExitCodes:
                            "--m", "1", "--T-grid", "5", "--routes", "direct")
         assert code == 2
 
+    def test_budget_inf_lifts_the_guard(self, capsys, monkeypatch):
+        argv = ("transform", "--preset", "zeta", "--m", "1", "--T-grid", "5",
+                "--routes", "direct")
+        monkeypatch.setenv("TWISTLAB_BUDGET", "inf")
+        assert run(capsys, *argv)[0] == 0
+        monkeypatch.setenv("TWISTLAB_BUDGET", "10")
+        assert run(capsys, *argv)[0] == 2
+
     @pytest.mark.parametrize("value", ["abc", "nan", "0"])
     def test_budget_not_a_positive_number(self, capsys, monkeypatch, value):
         monkeypatch.setenv("TWISTLAB_BUDGET", value)
@@ -533,10 +541,12 @@ class TestDeterminism:
 
 
 class TestPinnedBytes:
-    """sha256 of outputs recorded before real coefficient tables became
-    float64 (numpy 2.4): TestDeterminism compares two runs of the same
-    code, this compares the code with its earlier versions.  Bits are
-    promised for one numpy version, so another one skips."""
+    """sha256 of outputs recorded with earlier versions of the code (numpy
+    2.4): the coefficient and twist digests before real coefficient tables
+    became float64, the eval digests before the phase-row builder took one
+    t per call.  TestDeterminism compares two runs of the same code, this
+    compares the code with its earlier versions.  Bits are promised for one
+    numpy version, so another one skips."""
 
     PINNED = [
         (["coeffs", "--preset", "zeta", "--bulk", "3000"],
@@ -555,6 +565,11 @@ class TestPinnedBytes:
          "bbee074d0d4fe7adbc5e78613a8f1b746123ebdecac965cff8a50f73563532b1"),
         (["twist-scan", "--preset", "delta", "--alpha", "auto", "--T-grid", "2^5:2^11"],
          "c2ccb97979daa476f0ce7e61250c9bbb45e2ede906ac100f11ecb2361eed445e"),
+        # single-t evaluations: one phase row per t, summed without BLAS
+        (["eval", "--preset", "zeta-sq", "--sigma", "0.5", "--t", "10:50:5", "--X", "1e4"],
+         "45f978b02306c9867bdd21399a008a7493fb1d79976b2260deda62f3d2f93cd3"),
+        (["eval", "--preset", "delta", "--sigma", "0.6", "--t", "5:25:5"],
+         "0f18d04a2a16bc73e49936306d47325935ac0cbe8078fc944e4d5c0295ec221b"),
     ]
 
     @pytest.mark.parametrize("argv, digest", PINNED,

@@ -442,11 +442,14 @@ class TestTau:
 
     def test_eta12_past_int64_goes_through_python_ints(self, monkeypatch):
         # eta^12 stays int64 while every value fits (all N tested here);
-        # past 2^63 the squaring takes Python ints, with the same results
+        # past 2^63 the squaring takes Python ints, with the same results.
+        # The finisher is made to hand back its values as Python ints.
         tau = tau_integers(3000)
         table = RamanujanTauProvider().bulk(3000).values
-        monkeypatch.setattr(coefficients, "chunks_to_int64", lambda chunks, bits: None)
-        assert isinstance(coefficients._eta12(50), list)
+        assert coefficients._eta12(50).dtype == np.int64
+        monkeypatch.setattr(coefficients, "chunks_to_ints", lambda chunks, bits:
+                            exactconv.chunks_to_ints(chunks, bits).astype(object))
+        assert coefficients._eta12(50).dtype == object
         assert tau_integers(3000) == tau
         assert RamanujanTauProvider().bulk(3000).values.tobytes() == table.tobytes()
 
@@ -671,6 +674,16 @@ def ties(bits: int):
         st.sampled_from([-1, 1]))
 
 
+def as_chunks(values, width, count):
+    """values in conv_chunks' form: `count` chunks of `width` bits, the top
+    chunk signed."""
+    mask = (1 << width) - 1
+    chunks = [np.array([(v >> (q * width)) & mask for v in values], dtype=np.int64)
+              for q in range(count - 1)]
+    chunks.append(np.array([v >> ((count - 1) * width) for v in values], dtype=np.int64))
+    return chunks
+
+
 @st.composite
 def chunked_values(draw):
     """(chunks, width, values): 1-8 integers in conv_chunks' form, 1-4
@@ -682,11 +695,7 @@ def chunked_values(draw):
                       st.integers(-(1 << 62), (1 << 62) - 1),
                       st.integers(54, top).flatmap(ties))
     values = draw(st.lists(value, min_size=1, max_size=8))
-    mask = (1 << width) - 1
-    chunks = [np.array([(v >> (q * width)) & mask for v in values], dtype=np.int64)
-              for q in range(count - 1)]
-    chunks.append(np.array([v >> ((count - 1) * width) for v in values], dtype=np.int64))
-    return chunks, width, values
+    return as_chunks(values, width, count), width, values
 
 
 class TestDigitChunks:
@@ -699,17 +708,31 @@ class TestDigitChunks:
         chunks, width, values = case
         got = exactconv.chunks_to_float(chunks, width)
         assert got.tobytes() == np.array([float(v) for v in values]).tobytes()
-        assert exactconv.chunks_to_ints(chunks, width) == values
-        as_int64 = exactconv.chunks_to_int64(chunks, width)
+        ints = exactconv.chunks_to_ints(chunks, width)
+        assert ints.tolist() == values
         if all(-(1 << 63) <= v < (1 << 63) for v in values):
-            assert as_int64.dtype == np.int64 and as_int64.tolist() == values
+            assert ints.dtype == np.int64
         else:
-            assert as_int64 is None
+            assert ints.dtype == object and all(type(v) is int for v in ints)
+
+    @pytest.mark.parametrize("width", CHUNK_WIDTHS)
+    def test_ints_leave_int64_at_both_edges(self, width):
+        # -2^63 and 2^63 - 1 stay int64; one past either edge turns the
+        # whole array into exact Python ints
+        edge = 1 << 63
+        for count in (2, 3):
+            inside = exactconv.chunks_to_ints(as_chunks([-edge, edge - 1, 0], width, count),
+                                              width)
+            assert inside.dtype == np.int64 and inside.tolist() == [-edge, edge - 1, 0]
+            for past in (-edge - 1, edge):
+                got = exactconv.chunks_to_ints(as_chunks([past, 1], width, count), width)
+                assert got.dtype == object and got.tolist() == [past, 1]
+                assert all(type(v) is int for v in got)
 
     def test_conv_exact_reads_the_chunks(self):
         rng = np.random.default_rng(5)
         a = rng.integers(-(1 << 40), 1 << 40, size=300)
         chunks, width = exactconv.conv_chunks(a, a, 400)
         assert len(chunks) > 1
-        assert conv_exact(a, a, 400) == exactconv.chunks_to_ints(chunks, width)
+        assert conv_exact(a, a, 400) == exactconv.chunks_to_ints(chunks, width).tolist()
         assert conv_exact(a, a, 400) == schoolbook(a.tolist(), a.tolist(), 400)

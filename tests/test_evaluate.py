@@ -360,6 +360,17 @@ class TestLineEvaluator:
         with pytest.raises(ValueError, match=re.escape(message)):
             fe_cross_check(L, bad, SmoothingParams())
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_sigma(self, bad):
+        # a non-finite abscissa once reached the truncation rule, which
+        # raised a BudgetError (exit 2) for what is a bad argument
+        L, sp = get_preset("zeta"), SmoothingParams(X=1000.0)
+        message = f"sigma must be finite, got sigma={bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SmoothedLineEvaluator(L, sp, sigma=bad)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            smoothed_value(L, bad, 20.0, sp)
+
     def test_refuses_overflowing_coefficients(self):
         # far left of the strip e^{-(n/X)^p} n^{300} overflows below X, where
         # the weight is still ~1; the phase sums would be nan
@@ -478,12 +489,13 @@ def zeta_t60_block():
 
 
 def sieve_rows(t, width):
-    """t and _phase_rows(t) over n = 1..width."""
-    return t, evaluate._phase_rows(t, np.log(np.arange(1, width + 1, dtype=np.float64)))
+    """t and, one row per t, _phase_row(t) over n = 1..width."""
+    lnn = np.log(np.arange(1, width + 1, dtype=np.float64))
+    return t, np.stack([evaluate._phase_row(x, lnn) for x in t])
 
 
 def block_rows():
-    """The centres of the zeta T = 60 block and their _phase_rows."""
+    """The centres of the zeta T = 60 block and their _phase_row rows."""
     ev, index = zeta_t60_block()
     return sieve_rows(index * ev.spacing, ev.width)
 
