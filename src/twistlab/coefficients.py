@@ -26,7 +26,8 @@ import numpy as np
 from .errors import BudgetError
 from .exactconv import chunks_to_float, chunks_to_ints, conv_chunks, conv_exact
 
-_MAX_BULK = 10 ** 7
+#: the longest coefficient table; the evaluators' truncation rule stops here
+MAX_BULK = 10 ** 7
 
 
 def _real_if_real(values: np.ndarray) -> np.ndarray:
@@ -40,7 +41,7 @@ def _guard_bulk(N: int) -> int:
     N = int(N)
     if N < 1:
         raise ValueError("table length must be >= 1")
-    if N > _MAX_BULK:
+    if N > MAX_BULK:
         raise BudgetError(f"coefficient table of length {N} exceeds the 1e7 cap")
     return N
 

@@ -49,6 +49,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .coefficients import MAX_BULK
 from .errors import BudgetError, PoleError
 from .gammafn import (_check_poles, _digamma_vec, _log_gamma_vec, _ratio_args,
                       gamma_ratio_exact_grid)
@@ -120,10 +121,10 @@ def _truncation_count(K: float, c: float, x: float, X: float, p: float,
 
     N = 16.0
     while bound(N) >= eps:
-        N = N * 1.25 + 8.0
-        if N > 5e7:
-            raise BudgetError(
-                f"truncation rule needs more than 5e7 terms (X={X}, eps={eps})")
+        if N >= MAX_BULK:
+            raise BudgetError(f"coefficient table of length > {MAX_BULK} exceeds the "
+                              f"1e7 cap (truncation rule at X={X}, eps={eps})")
+        N = min(N * 1.25 + 8.0, MAX_BULK)
     lo, hi = 8, int(math.ceil(N))
     while lo < hi:
         mid = (lo + hi) // 2

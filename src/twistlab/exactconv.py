@@ -74,9 +74,12 @@ def limb_width(bits_a: int, bits_b: int, len_a: int, len_b: int,
 
 
 def _int_array(values: Sequence[int]) -> np.ndarray:
-    """int64 when every value fits, else an object array of Python ints."""
+    """int64 when every value fits, else an object array of Python ints.
+    A value that is not an integer (2.5, nan) raises ValueError."""
     if isinstance(values, np.ndarray) and not np.can_cast(values.dtype, np.int64):
         values = values.tolist()
+    if not isinstance(values, np.ndarray) and any(v % 1 != 0 for v in values):
+        raise ValueError("exact convolution needs integer inputs")
     try:
         return np.asarray(values, dtype=np.int64)
     except OverflowError:

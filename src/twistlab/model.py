@@ -140,7 +140,7 @@ class SmoothingParams:
         # (3 alpha T / 2pi)^d, only when T^rho > (3 alpha / 2pi)^d: with
         # alpha = 2pi that is T^rho > 3^d, so T > 9 for zeta and T > 81 in
         # degree 2 at rho = 1/2.  Below that, tail_bound does not see the
-        # error (ROADMAP open item 2).
+        # error (ROADMAP open item 3).
         if not (math.isfinite(self.rho) and self.rho > 0.0):
             raise ValueError(f"rho must be finite and > 0, got {self.rho}")
         if not (0.0 < self.epsilon <= 1e-3):

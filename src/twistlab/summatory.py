@@ -7,6 +7,9 @@ The twist over (T, 4T) is
     sum_{T<n<4T} a_n e^{-(n/X)^p} e^{-i d alpha n^{1/d}},    X = T^{d+rho},
 
 whose modulus at the resonant alpha grows like T^{1/2 + 1/(2d)}.  The
+transform's sum route (transforms.H_sum_side) takes the same terms over
+(2T)^d < n < (3T)^d, with a_n weighted by n^{1/(2d) - 1/2}; this module owns
+the window, the term kernel and the degree and alpha guards of both.  The
 certificate checks, per grid point, the chain
 
     sum_{T<n<4T} |a_n|  >=  |twist(T)|  >=  (1/2) |kappa sqrt(d) a_m| T^{1/2+1/(2d)}
@@ -82,52 +85,53 @@ def abs_partial_sum(L: LSeriesInstance, X: float) -> float:
     return compensated_real_sum(np.abs(table))
 
 
-def _twist_window(T: float) -> Tuple[int, int]:
-    lo = int(math.floor(T)) + 1
-    hi = int(math.ceil(4.0 * T)) - 1
-    return lo, hi
+def require_degree(L: LSeriesInstance) -> float:
+    """L's degree d, refused below 1."""
+    d = L.invariants().d
+    if d < 1.0:
+        raise ValueError(f"twisted sums need degree >= 1, {L.name!r} has d = {d}")
+    return d
 
 
-def _check_alpha(alpha: float) -> None:
+def require_alpha(alpha: float) -> None:
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
 
 
-def _twist_degree(L: LSeriesInstance) -> float:
-    d = L.invariants().d
-    if d < 1.0:
-        raise ValueError("additive twist needs degree >= 1")
-    return d
+def open_window(lo: float, hi: float) -> Tuple[int, int]:
+    """The first and last integer n with lo < n < hi."""
+    return int(math.floor(lo)) + 1, int(math.ceil(hi)) - 1
+
+
+def twisted_terms(a_n: np.ndarray, n: np.ndarray, alpha: float, d: float,
+                  X: float, p: float) -> np.ndarray:
+    """a_n e^{-(n/X)^p} e^{-i d alpha n^{1/d}} at each n, in that order."""
+    return a_n * np.exp(-((n / X) ** p)) * np.exp(-1j * d * alpha * n ** (1.0 / d))
 
 
 def _grid_table(L: LSeriesInstance, T_grid: Sequence[float]) -> np.ndarray:
     """a_1..a_M with M large enough for the twist window of every T."""
-    hi = max((_twist_window(T)[1] for T in T_grid), default=1)
+    hi = max((open_window(T, 4.0 * T)[1] for T in T_grid), default=1)
     return L.coefficients.bulk(max(hi, 1)).values
 
 
 def _twist(table: np.ndarray, alpha: float, T: float, d: float,
            sp: SmoothingParams) -> complex:
     """The twisted sum over T < n < 4T; table[k] is a_{k+1} and reaches
-    past the window."""
+    past the window, which is never empty for T >= 1."""
     if T < 1.0:
         return 0.0 + 0.0j
-    X = sp.cutoff(T, d)
-    lo, hi = _twist_window(T)
-    if hi < lo:
-        return 0.0 + 0.0j
+    lo, hi = open_window(T, 4.0 * T)
     n = np.arange(lo, hi + 1, dtype=np.float64)
-    a_n = table[lo - 1 : hi]
-    terms = (a_n * np.exp(-((n / X) ** sp.p))
-             * np.exp(-1j * d * alpha * n ** (1.0 / d)))
-    return compensated_sum(terms)
+    return compensated_sum(twisted_terms(table[lo - 1 : hi], n, alpha, d,
+                                         sp.cutoff(T, d), sp.p))
 
 
 def additive_twist(L: LSeriesInstance, alpha: float, T: float,
                    sp: SmoothingParams) -> complex:
     """The smoothed twisted sum over T < n < 4T (see module notes)."""
-    _check_alpha(alpha)
-    return _twist(_grid_table(L, [T]), alpha, T, _twist_degree(L), sp)
+    require_alpha(alpha)
+    return _twist(_grid_table(L, [T]), alpha, T, require_degree(L), sp)
 
 
 def _loglog_fit(grid: Sequence[float],
@@ -175,8 +179,8 @@ def run_growth_scan(L: LSeriesInstance, X_grid: Sequence[float]) -> GrowthReport
 
 def run_twist_scan(L: LSeriesInstance, alpha: float, T_grid: Sequence[float],
                    sp: SmoothingParams) -> TwistReport:
-    _check_alpha(alpha)
-    d = _twist_degree(L)
+    require_alpha(alpha)
+    d = require_degree(L)
     expo = 0.5 + 1.0 / (2.0 * d)
     table = _grid_table(L, T_grid)
     tws = [_twist(table, alpha, T, d, sp) for T in T_grid]
@@ -193,15 +197,15 @@ def omega_certificate(L: LSeriesInstance, alpha: float, m: int,
                       sp: SmoothingParams) -> CertificateReport:
     """Per-T check of the certificate chain, with kap = kappa(L, alpha, m).
     A failing row is a recorded result, not an error."""
-    _check_alpha(alpha)
-    d = _twist_degree(L)
+    require_alpha(alpha)
+    d = require_degree(L)
     a_m = L.coefficients.coefficient(m)
     constant = 0.5 * abs(kap) * math.sqrt(d) * abs(a_m)
     expo = 0.5 + 1.0 / (2.0 * d)
     table = _grid_table(L, T_grid)
     rows: List[CertificateRow] = []
     for T in T_grid:
-        lo, hi = _twist_window(T)
+        lo, hi = open_window(T, 4.0 * T)
         abs_sum = compensated_real_sum(np.abs(table[lo - 1 : hi])) if hi >= lo else 0.0
         tw = abs(_twist(table, alpha, T, d, sp))
         bound = constant * T ** expo

@@ -51,6 +51,7 @@ from .evaluate import SmoothedLineEvaluator
 from .model import LSeriesInstance, SmoothingParams
 from .oscillatory import PhaseFamily, integrate_oscillatory
 from .summation import compensated_sum
+from .summatory import open_window, require_alpha, require_degree, twisted_terms
 
 #: the transform routes, in the order reports and outputs list them
 ROUTES = ("direct", "sum", "fe")
@@ -76,20 +77,14 @@ def _budget() -> float:
     return budget
 
 
-def _require_transform_degree(L: LSeriesInstance) -> float:
-    d = L.invariants().d
-    if d < 1.0:
-        raise ValueError(f"transform needs degree >= 1, {L.name!r} has d = {d}")
-    return d
-
-
 def H_direct(L: LSeriesInstance, alpha: float, T: float,
              sp: SmoothingParams) -> complex:
     """Direct quadrature route.  Cost is the line evaluator's phase
     entries (SmoothedLineEvaluator.phase_estimate); configurations whose
     estimate exceeds the operation budget (TWISTLAB_BUDGET, default 1e9;
     inf lifts it) are refused."""
-    d = _require_transform_degree(L)
+    require_alpha(alpha)
+    d = require_degree(L)
     budget = _budget()
     # the resonance phase d t log(t/(e alpha)) is I_n's phase at n = 1
     pf = PhaseFamily(alpha, 1, d)
@@ -113,24 +108,19 @@ def H_direct(L: LSeriesInstance, alpha: float, T: float,
 
 def H_sum_side(L: LSeriesInstance, alpha: float, T: float,
                sp: SmoothingParams) -> complex:
-    """Stationary-phase coefficient sum over the window (2T)^d < n < (3T)^d:
+    """Stationary-phase coefficient sum over (2T)^d < n < (3T)^d: the
+    additive twist's terms at the weighted coefficients a_n n^{1/(2d)-1/2},
 
         sqrt(2 pi / d) sum (a_n / sqrt(n)) n^{1/(2d)}
                          e^{-(n/X)^p} e^{-i d alpha n^{1/d}}."""
-    d = _require_transform_degree(L)
-    X = sp.cutoff(T, d)
-    lo = (2.0 * T) ** d
-    hi = (3.0 * T) ** d
-    n_lo = int(math.floor(lo)) + 1
-    n_hi = int(math.ceil(hi)) - 1
-    if n_hi < n_lo:
+    require_alpha(alpha)
+    d = require_degree(L)
+    lo, hi = open_window((2.0 * T) ** d, (3.0 * T) ** d)
+    if hi < lo:
         return 0.0 + 0.0j
-    table = L.coefficients.bulk(n_hi).values
-    n = np.arange(n_lo, n_hi + 1, dtype=np.float64)
-    a_n = table[n_lo - 1 : n_hi]
-    terms = (a_n * n ** (1.0 / (2.0 * d) - 0.5)
-             * np.exp(-((n / X) ** sp.p))
-             * np.exp(-1j * d * alpha * n ** (1.0 / d)))
+    n = np.arange(lo, hi + 1, dtype=np.float64)
+    a_n = L.coefficients.bulk(hi).values[lo - 1 :] * n ** (1.0 / (2.0 * d) - 0.5)
+    terms = twisted_terms(a_n, n, alpha, d, sp.cutoff(T, d), sp.p)
     return math.sqrt(2.0 * math.pi / d) * compensated_sum(terms)
 
 
@@ -155,7 +145,7 @@ def kappa(L: LSeriesInstance, alpha: float, m: int,
                          f"got {convention!r}")
     inv = L.invariants()
     resonant = inv.C * L.fe.Q ** 2 * alpha ** inv.d
-    if abs(resonant - m) > 1e-9 * max(1.0, abs(m)):
+    if not abs(resonant - m) <= 1e-9 * max(1.0, abs(m)):
         raise ResonanceError(
             f"alpha = {alpha} is not the resonance of m = {m}: "
             f"C Q^2 alpha^d = {resonant}")

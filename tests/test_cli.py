@@ -1,6 +1,8 @@
 """CLI tests: parsing, outputs, exit codes, determinism, custom configs."""
+import cmath
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,9 +16,12 @@ import pytest
 import twistlab
 from twistlab.cli import UsageError, main, parse_grid, parse_int_range
 from twistlab.errors import PoleError, SectorError
+from twistlab.evaluate import smoothed_value
 from twistlab.gammafn import gamma_ratio_compare
+from twistlab.model import SmoothingParams
 from twistlab.presets import (PRESET_NAMES, get_preset, instance_from_config,
                               load_instance)
+from twistlab.transforms import kappa
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -268,6 +273,17 @@ class TestExitCodes:
         assert err == ("computation error: coefficient table of length 20000000 "
                        "exceeds the 1e7 cap\n")
 
+    @pytest.mark.parametrize("X", ["3e6", "1e7"])
+    def test_eval_past_the_table_cap(self, capsys, X):
+        # the truncation rule stops at the table cap: 1e7 once failed with
+        # its own 5e7 limit, 3e6 only once the table was asked for
+        code, out, err = run(capsys, "eval", "--preset", "zeta", "--sigma", "0.5",
+                             "--t", "20", "--X", X)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("computation error: coefficient table of length "
+                              "> 10000000 exceeds the 1e7 cap")
+
     def test_computation_error_pole(self, capsys):
         code, _, err = run(capsys, "eval", "--preset", "zeta",
                            "--sigma", "1.0", "--t", "1e-9")
@@ -444,6 +460,84 @@ class TestCustomConfig:
         assert err.startswith("usage error: bad config ")
         assert message in err
 
+    # zeta's gamma factor and Q without its pole, so that alpha = 2 pi is
+    # the resonance of m = 1; the pattern is the character mod 5 with
+    # chi(2) = i, so the twist and the sum route take complex coefficients
+    PATTERN = [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [-1.0, 0.0], [0.0, 0.0]]
+
+    @staticmethod
+    def coefficient_config(tmp_path, coefficients):
+        cfg = dict(PRESET_CONFIGS["zeta"], name="custom", poles=[],
+                   coefficients=coefficients)
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps(cfg))
+        return cfg, str(path)
+
+    @staticmethod
+    def rows(out):
+        lines = [line for line in out.splitlines() if not line.startswith("#")]
+        return [[float(v) for v in line.split(",")] for line in lines[1:]]
+
+    def test_complex_periodic_kind(self, tmp_path, capsys):
+        cfg, path = self.coefficient_config(
+            tmp_path, {"kind": "periodic", "pattern": self.PATTERN})
+        L = instance_from_config(cfg)
+        pattern = [complex(re, im) for re, im in self.PATTERN]
+        assert L.coefficients.bulk(7).values.tolist() == pattern + pattern[:2]
+
+        def a(n):
+            return pattern[(n - 1) % len(pattern)]
+
+        alpha = L.resonance_alpha(1)  # 2 pi, to rounding
+
+        def oracle(lo, hi, X, weight=1.0):
+            # sum_{lo < n < hi} a_n e^{-(n/X)^2} e^{-i alpha n}, term by term
+            terms = [weight * a(n) * math.exp(-(n / X) ** 2) * cmath.exp(-1j * alpha * n)
+                     for n in range(math.floor(lo) + 1, math.ceil(hi))]
+            return sum(terms), sum(abs(t) for t in terms)
+
+        code, out, _ = run(capsys, "eval", "--config", path, "--sigma", "0.5",
+                           "--t", "10:30:3", "--X", "1000")
+        assert code == 0
+        for t, re_, im, _, _ in self.rows(out):
+            v = smoothed_value(L, 0.5, t, SmoothingParams(X=1000.0)).value
+            assert (re_, im) == (v.real, v.imag)
+
+        code, out, _ = run(capsys, "twist-scan", "--config", path, "--alpha", "auto",
+                           "--T-grid", "2^5:2^8")
+        assert code == 0 and f"# alpha={alpha!r}" in out
+        for T, re_, im, _ in self.rows(out):
+            want, scale = oracle(T, 4.0 * T, T ** 2.0)  # X = T^{d + 1}
+            assert abs(complex(re_, im) - want) <= 1e-12 * scale
+
+        code, out, _ = run(capsys, "transform", "--config", path, "--m", "1",
+                           "--T-grid", "20:80:4", "--routes", "sum,fe")
+        assert code == 0
+        kap = kappa(L, alpha, 1)
+        for T, re_, im, fe_re, fe_im, _ in self.rows(out):
+            want, scale = oracle(2.0 * T, 3.0 * T, T ** 1.5, math.sqrt(2.0 * math.pi))
+            assert abs(complex(re_, im) - want) <= 1e-12 * scale
+            assert complex(fe_re, fe_im) == pytest.approx(kap * T, rel=1e-14)
+
+    def test_real_table_kind(self, tmp_path, capsys):
+        values = [[1.0, 0.0], [-0.5, 0.0], [0.25, 0.0]]
+        cfg, path = self.coefficient_config(tmp_path, {"kind": "table", "values": values})
+        table = instance_from_config(cfg).coefficients.bulk(5).values
+        assert table.dtype == np.float64
+        assert table.tolist() == [1.0, -0.5, 0.25, 0.0, 0.0]
+        code, out, _ = run(capsys, "coeffs", "--config", path, "--bulk", "5")
+        assert code == 0
+        assert self.rows(out) == [[1, 1.0, 0.0], [2, -0.5, 0.0], [3, 0.25, 0.0],
+                                  [4, 0.0, 0.0], [5, 0.0, 0.0]]
+
+    def test_unknown_coefficient_kind(self, tmp_path, capsys):
+        _, path = self.coefficient_config(tmp_path, {"kind": "fourier"})
+        code, out, err = run(capsys, "describe", "--config", path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: bad config ")
+        assert "unknown coefficient source kind 'fourier'" in err
+
     def test_malformed_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{\"name\": \"x\"}")
@@ -544,9 +638,11 @@ class TestPinnedBytes:
     """sha256 of outputs recorded with earlier versions of the code (numpy
     2.4): the coefficient and twist digests before real coefficient tables
     became float64, the eval digests before the phase-row builder took one
-    t per call.  TestDeterminism compares two runs of the same code, this
-    compares the code with its earlier versions.  Bits are promised for one
-    numpy version, so another one skips."""
+    t per call, the transform and certify digests before the sum route and
+    the twist shared their window and term kernel.  TestDeterminism
+    compares two runs of the same code, this compares the code with its
+    earlier versions.  Bits are promised for one numpy version, so another
+    one skips."""
 
     PINNED = [
         (["coeffs", "--preset", "zeta", "--bulk", "3000"],
@@ -570,6 +666,11 @@ class TestPinnedBytes:
          "45f978b02306c9867bdd21399a008a7493fb1d79976b2260deda62f3d2f93cd3"),
         (["eval", "--preset", "delta", "--sigma", "0.6", "--t", "5:25:5"],
          "0f18d04a2a16bc73e49936306d47325935ac0cbe8078fc944e4d5c0295ec221b"),
+        (["transform", "--preset", "zeta-shift-pair", "--m", "1", "--T-grid", "50:150:3",
+          "--routes", "sum,fe"],
+         "f58c53b9f303ab6047e95e12850a02f4ee1c0b359562b6975f7384660b15fc36"),
+        (["certify", "--preset", "zeta-sq", "--m", "1", "--T-grid", "2^5:2^14"],
+         "3776b86f0755605dd477dbeb2bf7c1a4fb3cde9d1319cc504af04b9274153b2f"),
     ]
 
     @pytest.mark.parametrize("argv, digest", PINNED,

@@ -375,6 +375,15 @@ class TestTau:
         assert conv_exact(x, y, out_len) == want
         assert conv_exact(x, x, out_len) == schoolbook(x[:out_len], x[:out_len], out_len)
 
+    @pytest.mark.parametrize("floats", [[2.5, 1.0], np.array([2.5, 1.0])],
+                             ids=["list", "float64-array"])
+    def test_conv_exact_refuses_non_integers(self, floats):
+        # both were once truncated, to a = [2, 1] and a * [1, 1] = [2, 3, 1]
+        with pytest.raises(ValueError, match="integer"):
+            conv_exact(floats, [1, 1], 3)
+        with pytest.raises(ValueError, match="integer"):
+            conv_exact([1, 1], floats, 3)
+
     def test_conv_exact_roundoff_guard(self, monkeypatch):
         irfft = np.fft.irfft
         monkeypatch.setattr(exactconv.np.fft, "irfft",

@@ -3,6 +3,7 @@
 zeta and beta reference values were computed ahead of the build with a
 25-digit arbitrary-precision library and frozen here.
 """
+import dataclasses
 import math
 import re
 import sys
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 
 from twistlab import evaluate
-from twistlab.coefficients import PeriodicProvider
-from twistlab.errors import PoleError
+from twistlab.coefficients import MAX_BULK, PeriodicProvider
+from twistlab.errors import BudgetError, PoleError
 from twistlab.evaluate import (SmoothedLineEvaluator, fe_cross_check,
                                reference_zeta, smoothed_value)
 from twistlab.gammafn import _digamma_vec, _log_gamma_vec, _ratio_args
@@ -217,6 +218,24 @@ class TestSmoothedValue:
     def test_truncation_refuses_extreme_p(self, X, what):
         with pytest.raises(ValueError, match=rf"p=1000000000.0 {what} .* X={X:g}$"):
             smoothed_value(get_preset("zeta"), 0.5, 30.0, SmoothingParams(p=1e9, X=X))
+
+    def test_truncation_search_stops_at_the_table_cap(self):
+        # the true N lies past the search's last geometric step below the
+        # cap (8.2e6), so the cap itself must be tried before refusing
+        N, _ = evaluate._truncation_count(1.0, 0.0, 0.5, 1.78e6, 2.0, 1e-12)
+        assert 8.3e6 < N <= MAX_BULK
+        with pytest.raises(BudgetError, match="exceeds the 1e7 cap"):
+            evaluate._truncation_count(1.0, 0.0, 0.5, 1.8e6, 2.0, 1e-12)
+
+    @pytest.mark.parametrize("X", [1.8e6, 1e7, 1e9])
+    def test_past_the_table_cap_refused_before_any_table(self, X):
+        class Untouched(PeriodicProvider):
+            def bulk(self, N):
+                raise AssertionError("table built")
+
+        L = dataclasses.replace(get_preset("zeta"), coefficients=Untouched([1.0]))
+        with pytest.raises(BudgetError, match="exceeds the 1e7 cap"):
+            smoothed_value(L, 0.5, 20.0, SmoothingParams(X=X))
 
     @pytest.mark.parametrize("name, sigma, t", ORACLE_ROWS)
     def test_matches_oracle_on_critical_line(self, name, sigma, t, sp4):

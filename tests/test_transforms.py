@@ -1,5 +1,6 @@
 """Transform-route tests: J integrals, kappa, route consistency."""
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -100,6 +101,11 @@ class TestKappa:
     def test_resonance_mismatch_rejected(self):
         with pytest.raises(ResonanceError):
             kappa(get_preset("zeta"), 1.0, 1)
+
+    def test_nan_alpha_is_no_resonance(self):
+        # abs(nan - m) > tol is False, so nan once passed the check
+        with pytest.raises(ResonanceError):
+            kappa(get_preset("zeta"), math.nan, 1)
 
     def test_unknown_convention_rejected(self):
         for convention in ("folklore", "paper-printed"):
@@ -261,5 +267,22 @@ class TestRoutes:
             "sigma_a": 1.0, "coefficients": {"kind": "ones"},
         }
         L = instance_from_config(cfg)
-        with pytest.raises(ValueError):
-            H_sum_side(L, 1.0, 10.0, SmoothingParams(X=100.0))
+        for route in (H_direct, H_sum_side):
+            with pytest.raises(ValueError, match="degree"):
+                route(L, 1.0, 10.0, SmoothingParams(X=100.0))
+
+    @pytest.mark.parametrize("alpha", [math.nan, -3.0, 0.0, math.inf])
+    def test_bad_alpha_rejected_before_any_table(self, alpha):
+        # H_sum_side once returned nan+nanj for nan and inf and a number for
+        # alpha = -3, and H_direct 0j for inf
+        class Untouched(PeriodicProvider):
+            def coefficient(self, n):
+                raise AssertionError("coefficient read")
+
+            def bulk(self, N):
+                raise AssertionError("table built")
+
+        L = dataclasses.replace(get_preset("zeta"), coefficients=Untouched([1.0]))
+        for route in (H_direct, H_sum_side):
+            with pytest.raises(ValueError, match="alpha"):
+                route(L, alpha, 20.0, SmoothingParams())
