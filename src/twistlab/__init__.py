@@ -24,7 +24,7 @@ from .oscillatory import (PhaseFamily, QuadratureResult,
                           integrate_oscillatory)
 from .presets import get_preset, instance_from_config, load_instance
 from .summatory import (CertificateReport, GrowthReport, TwistReport,
-                        abs_partial_sum, additive_twist, growth_exponent,
+                        abs_partial_sum, additive_twist,
                         omega_certificate, run_growth_scan, run_twist_scan)
 from .transforms import (TransformReport, H_direct, H_fe_side, H_sum_side,
                          constant_conventions, kappa, run_transform)

@@ -22,11 +22,4 @@ class ResonanceError(TwistlabError):
 
 
 class QuadratureError(TwistlabError):
-    """Oscillatory quadrature failed to converge within the panel budget.
-
-    Carries the best available partial result so callers can inspect it.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Oscillatory quadrature failed to converge within the panel budget."""

@@ -560,8 +560,6 @@ class SmoothedLineEvaluator:
         (_form_sums) and kept; each call pays only the Clenshaw recurrence
         b_k = a_k + 2x b_{k+1} - b_{k+2} at its nodes, in real arithmetic
         on the (re, im) pairs."""
-        if t.size == 0:
-            return np.empty((len(self._coefs), 0), dtype=complex)
         if t.size == 1:
             row = _phase_row(t[0], self._lnn)
             self.phase_evals += row.size
@@ -590,8 +588,6 @@ class SmoothedLineEvaluator:
         its own, so a t's corrections do not depend on the t computed with
         it.  A residue that is not applied at a t takes the placeholder
         argument 1."""
-        if t.size == 0:
-            return np.zeros(0, dtype=complex)
         p, lnX, fe = self.sp.p, math.log(self.X), self.L.fe
         w0 = self._pole_locations - (self.sigma + 1j * t)
         w = w0 / p

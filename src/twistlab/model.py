@@ -152,7 +152,9 @@ class SmoothingParams:
         return replace(self, X=float(X))
 
     def cutoff(self, T: float, d: float) -> float:
-        """X if set, else the scale-aware default T^{d + rho}."""
+        """X if set, else the scale-aware default T^{d + rho}; a T that is
+        not finite and > 0 is refused, whether X is set or not."""
+        require_scale(T)
         if self.X is not None:
             return self.X
         return float(T) ** (d + self.rho)
@@ -180,6 +182,24 @@ class LSeriesInstance:
 
     def resonance_alpha(self, m: int) -> float:
         return resonance_alpha(m, self.invariants(), self.fe.Q)
+
+
+def require_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+
+
+def require_scale(T: float) -> None:
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"T must be finite and > 0, got {T}")
+
+
+def require_degree(L: LSeriesInstance) -> float:
+    """L's degree d, refused below 1."""
+    d = L.invariants().d
+    if d < 1.0:
+        raise ValueError(f"twisted sums need degree >= 1, {L.name!r} has d = {d}")
+    return d
 
 
 def degree(spec: GammaFactorSpec) -> float:

@@ -28,6 +28,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import QuadratureError
+from .model import require_alpha
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
@@ -52,8 +53,7 @@ class PhaseFamily:
     d: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        require_alpha(self.alpha)
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if self.d < 1:
@@ -131,8 +131,7 @@ def integrate_oscillatory(phase: Callable, K: Tuple[float, float], tol: float,
         n_next = n_panels * 2
         if n_next > PANEL_BUDGET:
             raise QuadratureError(
-                f"no convergence to {tol} within {PANEL_BUDGET} panels",
-                partial=QuadratureResult(prev, n_panels, math.inf))
+                f"no convergence to {tol} within {PANEL_BUDGET} panels")
         cur = level(n_next)
         delta = abs(cur - prev)
         if delta < tol and n_next >= n_rule:

@@ -6,11 +6,15 @@ The twist over (T, 4T) is
 
     sum_{T<n<4T} a_n e^{-(n/X)^p} e^{-i d alpha n^{1/d}},    X = T^{d+rho},
 
-whose modulus at the resonant alpha grows like T^{1/2 + 1/(2d)}.  The
-transform's sum route (transforms.H_sum_side) takes the same terms over
-(2T)^d < n < (3T)^d, with a_n weighted by n^{1/(2d) - 1/2}; this module owns
-the window, the term kernel and the degree and alpha guards of both.  The
-certificate checks, per grid point, the chain
+whose modulus at the resonant alpha grows like T^{1/2 + 1/(2d)}.  It sums
+whatever integers the open window holds, for every T > 0 (the window is
+empty only for T <= 1/4).  The transform's sum route
+(transforms.H_sum_side) takes the same terms over (2T)^d < n < (3T)^d, with
+a_n weighted by n^{1/(2d) - 1/2}; this module owns the window and the term
+kernel of both.  The guards on alpha, the degree and T live in model
+(require_alpha, require_degree, and SmoothingParams.cutoff for T); the twist
+and the certificate refuse a bad value before any coefficient table is built.
+The certificate checks, per grid point, the chain
 
     sum_{T<n<4T} |a_n|  >=  |twist(T)|  >=  (1/2) |kappa sqrt(d) a_m| T^{1/2+1/(2d)}
 
@@ -25,7 +29,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .model import LSeriesInstance, SmoothingParams
+from .model import LSeriesInstance, SmoothingParams, require_alpha, require_degree
 from .summation import compensated_real_sum, compensated_sum
 
 #: rho used by the twist/certificate experiments unless the caller overrides
@@ -85,19 +89,6 @@ def abs_partial_sum(L: LSeriesInstance, X: float) -> float:
     return compensated_real_sum(np.abs(table))
 
 
-def require_degree(L: LSeriesInstance) -> float:
-    """L's degree d, refused below 1."""
-    d = L.invariants().d
-    if d < 1.0:
-        raise ValueError(f"twisted sums need degree >= 1, {L.name!r} has d = {d}")
-    return d
-
-
-def require_alpha(alpha: float) -> None:
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-
-
 def open_window(lo: float, hi: float) -> Tuple[int, int]:
     """The first and last integer n with lo < n < hi."""
     return int(math.floor(lo)) + 1, int(math.ceil(hi)) - 1
@@ -109,29 +100,32 @@ def twisted_terms(a_n: np.ndarray, n: np.ndarray, alpha: float, d: float,
     return a_n * np.exp(-((n / X) ** p)) * np.exp(-1j * d * alpha * n ** (1.0 / d))
 
 
-def _grid_table(L: LSeriesInstance, T_grid: Sequence[float]) -> np.ndarray:
-    """a_1..a_M with M large enough for the twist window of every T."""
+def _twist_setup(L: LSeriesInstance, alpha: float, T_grid: Sequence[float],
+                 sp: SmoothingParams) -> Tuple[float, List[float], np.ndarray]:
+    """d, the cutoff X of each T, and a_1..a_M with M large enough for the
+    twist window of every T.  A bad alpha, degree or T is refused before
+    any table is built."""
+    require_alpha(alpha)
+    d = require_degree(L)
+    cutoffs = [sp.cutoff(T, d) for T in T_grid]
     hi = max((open_window(T, 4.0 * T)[1] for T in T_grid), default=1)
-    return L.coefficients.bulk(max(hi, 1)).values
+    return d, cutoffs, L.coefficients.bulk(max(hi, 1)).values
 
 
-def _twist(table: np.ndarray, alpha: float, T: float, d: float,
-           sp: SmoothingParams) -> complex:
-    """The twisted sum over T < n < 4T; table[k] is a_{k+1} and reaches
-    past the window, which is never empty for T >= 1."""
-    if T < 1.0:
-        return 0.0 + 0.0j
+def _twist(table: np.ndarray, alpha: float, T: float, d: float, X: float,
+           p: float) -> complex:
+    """The twisted sum over whatever T < n < 4T holds (0 when empty);
+    table[k] is a_{k+1} and reaches past the window."""
     lo, hi = open_window(T, 4.0 * T)
     n = np.arange(lo, hi + 1, dtype=np.float64)
-    return compensated_sum(twisted_terms(table[lo - 1 : hi], n, alpha, d,
-                                         sp.cutoff(T, d), sp.p))
+    return compensated_sum(twisted_terms(table[lo - 1 : hi], n, alpha, d, X, p))
 
 
 def additive_twist(L: LSeriesInstance, alpha: float, T: float,
                    sp: SmoothingParams) -> complex:
     """The smoothed twisted sum over T < n < 4T (see module notes)."""
-    require_alpha(alpha)
-    return _twist(_grid_table(L, [T]), alpha, T, require_degree(L), sp)
+    d, (X,), table = _twist_setup(L, alpha, [T], sp)
+    return _twist(table, alpha, T, d, X, sp.p)
 
 
 def _loglog_fit(grid: Sequence[float],
@@ -164,12 +158,6 @@ def _loglog_fit(grid: Sequence[float],
     return slope, intercept, stderr
 
 
-def growth_exponent(grid: Sequence[float], values: Sequence[float]) -> Tuple[float, float]:
-    """Slope and standard error of the log-log fit (see _loglog_fit)."""
-    slope, _, stderr = _loglog_fit(grid, values)
-    return slope, stderr
-
-
 def run_growth_scan(L: LSeriesInstance, X_grid: Sequence[float]) -> GrowthReport:
     sums = [abs_partial_sum(L, X) for X in X_grid]
     slope, intercept, stderr = _loglog_fit(X_grid, sums)
@@ -179,13 +167,11 @@ def run_growth_scan(L: LSeriesInstance, X_grid: Sequence[float]) -> GrowthReport
 
 def run_twist_scan(L: LSeriesInstance, alpha: float, T_grid: Sequence[float],
                    sp: SmoothingParams) -> TwistReport:
-    require_alpha(alpha)
-    d = require_degree(L)
+    d, cutoffs, table = _twist_setup(L, alpha, T_grid, sp)
     expo = 0.5 + 1.0 / (2.0 * d)
-    table = _grid_table(L, T_grid)
-    tws = [_twist(table, alpha, T, d, sp) for T in T_grid]
+    tws = [_twist(table, alpha, T, d, X, sp.p) for T, X in zip(T_grid, cutoffs)]
     normalized = [abs(tw) / T ** expo for tw, T in zip(tws, T_grid)]
-    slope, stderr = growth_exponent(T_grid, [abs(tw) for tw in tws])
+    slope, _, stderr = _loglog_fit(T_grid, [abs(tw) for tw in tws])
     return TwistReport(grid=tuple(float(T) for T in T_grid),
                        twist_values=tuple(tws),
                        normalized=tuple(normalized),
@@ -197,17 +183,15 @@ def omega_certificate(L: LSeriesInstance, alpha: float, m: int,
                       sp: SmoothingParams) -> CertificateReport:
     """Per-T check of the certificate chain, with kap = kappa(L, alpha, m).
     A failing row is a recorded result, not an error."""
-    require_alpha(alpha)
-    d = require_degree(L)
+    d, cutoffs, table = _twist_setup(L, alpha, T_grid, sp)
     a_m = L.coefficients.coefficient(m)
     constant = 0.5 * abs(kap) * math.sqrt(d) * abs(a_m)
     expo = 0.5 + 1.0 / (2.0 * d)
-    table = _grid_table(L, T_grid)
     rows: List[CertificateRow] = []
-    for T in T_grid:
+    for T, X in zip(T_grid, cutoffs):
         lo, hi = open_window(T, 4.0 * T)
-        abs_sum = compensated_real_sum(np.abs(table[lo - 1 : hi])) if hi >= lo else 0.0
-        tw = abs(_twist(table, alpha, T, d, sp))
+        abs_sum = compensated_real_sum(np.abs(table[lo - 1 : hi]))
+        tw = abs(_twist(table, alpha, T, d, X, sp.p))
         bound = constant * T ** expo
         rows.append(CertificateRow(
             T=float(T), abs_sum=abs_sum, twist_abs=tw, bound=bound,

@@ -48,10 +48,11 @@ import numpy as np
 
 from .errors import BudgetError, PoleError, ResonanceError
 from .evaluate import SmoothedLineEvaluator
-from .model import LSeriesInstance, SmoothingParams
+from .model import (LSeriesInstance, SmoothingParams, require_alpha,
+                    require_degree, require_scale)
 from .oscillatory import PhaseFamily, integrate_oscillatory
 from .summation import compensated_sum
-from .summatory import open_window, require_alpha, require_degree, twisted_terms
+from .summatory import open_window, twisted_terms
 
 #: the transform routes, in the order reports and outputs list them
 ROUTES = ("direct", "sum", "fe")
@@ -83,16 +84,16 @@ def H_direct(L: LSeriesInstance, alpha: float, T: float,
     entries (SmoothedLineEvaluator.phase_estimate); configurations whose
     estimate exceeds the operation budget (TWISTLAB_BUDGET, default 1e9;
     inf lifts it) are refused."""
-    require_alpha(alpha)
     d = require_degree(L)
     budget = _budget()
-    # the resonance phase d t log(t/(e alpha)) is I_n's phase at n = 1
+    # the resonance phase d t log(t/(e alpha)) is I_n's phase at n = 1;
+    # PhaseFamily refuses a bad alpha and cutoff a bad T
     pf = PhaseFamily(alpha, 1, d)
+    X = sp.cutoff(T, d)
     a, b = pf.interval(T)
     for pole in L.fe.poles:
         if abs(pole.location.real - 0.5) < 1e-6 and a - 1e-6 <= pole.location.imag <= b + 1e-6:
             raise PoleError(f"pole of {L.name!r} on the integration segment")
-    X = sp.cutoff(T, d)
     line = SmoothedLineEvaluator(L, sp.with_X(X))
 
     cost = line.phase_estimate(a, b)
@@ -115,12 +116,13 @@ def H_sum_side(L: LSeriesInstance, alpha: float, T: float,
                          e^{-(n/X)^p} e^{-i d alpha n^{1/d}}."""
     require_alpha(alpha)
     d = require_degree(L)
+    X = sp.cutoff(T, d)
     lo, hi = open_window((2.0 * T) ** d, (3.0 * T) ** d)
     if hi < lo:
         return 0.0 + 0.0j
     n = np.arange(lo, hi + 1, dtype=np.float64)
     a_n = L.coefficients.bulk(hi).values[lo - 1 :] * n ** (1.0 / (2.0 * d) - 0.5)
-    terms = twisted_terms(a_n, n, alpha, d, sp.cutoff(T, d), sp.p)
+    terms = twisted_terms(a_n, n, alpha, d, X, sp.p)
     return math.sqrt(2.0 * math.pi / d) * compensated_sum(terms)
 
 
@@ -158,10 +160,7 @@ def H_fe_side(L: LSeriesInstance, T: float, kap: complex, m: int,
     """kappa conj(a_m) T^{1+iA}.  `a_m` is read from L when not given;
     reading it builds the table a_1..a_m, so a caller with many T reads it
     once and passes it."""
-    if T == 0.0:
-        return 0.0 + 0.0j
-    if T < 0.0:
-        raise ValueError("T must be nonnegative")
+    require_scale(T)
     if a_m is None:
         a_m = L.coefficients.coefficient(m)
     if abs(a_m) == 0.0:

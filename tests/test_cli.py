@@ -214,18 +214,38 @@ class TestExitCodes:
         ["eval", "--preset", "zeta", "--sigma=-inf", "--t", "10"],
         ["gamma-check", "--preset", "zeta", "--x", "nan", "--t-grid", "20"],
         ["osc", "--d", "1", "--alpha", "6.28", "--T", "inf", "--n", "1:3"],
+        ["certify", "--preset", "zeta", "--T-grid", "-1"],
+        ["certify", "--preset", "zeta", "--T-grid", "0"],
+        ["twist-scan", "--preset", "zeta", "--T-grid", "0:4:5"],
+        ["transform", "--preset", "zeta", "--T-grid", "-5"],
     ], ids=["bulk-0", "n-0", "X-negative", "X-inf", "epsilon-1", "short-grid",
             "rho-negative", "rho-nan", "rho-0", "alpha-nan", "alpha-negative",
             "alpha-0", "alpha-inf", "p-inf", "p-1e9", "certify-T-inf",
             "twist-T-inf", "summatory-X-inf", "transform-T-inf",
             "transform-geom-inf", "eval-t-nan", "eval-linear-nan",
-            "eval-sigma-nan", "eval-sigma-inf", "gamma-x-nan", "osc-T-inf"])
+            "eval-sigma-nan", "eval-sigma-inf", "gamma-x-nan", "osc-T-inf",
+            "certify-T-negative", "certify-T-0", "twist-T-0", "transform-T-negative"])
     def test_usage_out_of_range(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("usage error: ")
         if any("inf" in v or "nan" in v for v in argv):
             assert "must be finite" in err
+
+    @pytest.mark.parametrize("grid", ["0", "-1", "0:4:5"])
+    @pytest.mark.parametrize("command, flags", [
+        ("eval", ["--sigma", "0.5", "--t"]),
+        ("gamma-check", ["--x", "0.6", "--t-grid"]),
+        ("transform", ["--T-grid"]),
+        ("twist-scan", ["--T-grid"]),
+        ("summatory", ["--X-grid"]),
+        ("certify", ["--T-grid"]),
+    ])
+    def test_degenerate_grid_exits_cleanly(self, capsys, command, flags, grid):
+        # a grid at or below zero is refused or computed, never a crash
+        code, _, err = run(capsys, command, "--preset", "zeta", *flags, grid)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
 
     def test_refuses_overflowing_coefficients(self, capsys):
         code, out, err = run(capsys, "eval", "--preset", "zeta", "--sigma", "-300",

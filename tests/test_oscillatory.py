@@ -47,13 +47,11 @@ class TestIntegrateOscillatory:
         r = integrate_oscillatory(lambda t: t, (3.0, 3.0), 1e-9, np.ones_like)
         assert r.value == 0.0
 
-    def test_budget_exhaustion_carries_partial(self, monkeypatch):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         from twistlab import oscillatory as mod
         monkeypatch.setattr(mod, "PANEL_BUDGET", 8)
-        with pytest.raises(QuadratureError) as err:
+        with pytest.raises(QuadratureError):
             integrate_oscillatory(lambda t: t, (0.0, math.pi), 1e-300, np.ones_like)
-        assert err.value.partial is not None
-        assert abs(err.value.partial.value - 2j) < 1e-10
 
     def test_amplitude_faster_than_phase(self):
         # the panel rule reads the phase rate only; an amplitude e^{i lam t}
@@ -105,6 +103,11 @@ class TestPhaseFamily:
             PhaseFamily(alpha=1.0, n=0, d=1.0)
         with pytest.raises(ValueError):
             PhaseFamily(alpha=1.0, n=1, d=0.5)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_non_finite_alpha_refused(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            PhaseFamily(alpha, 1, 1.0)
 
 
 class TestStationaryPhase:

@@ -13,10 +13,10 @@ import pytest
 from twistlab.coefficients import PeriodicProvider
 from twistlab.model import GammaFactorSpec, LSeriesInstance, SmoothingParams
 from twistlab.presets import get_preset
-from twistlab.summatory import (TWIST_RHO, abs_partial_sum, additive_twist,
-                                growth_exponent, omega_certificate,
+from twistlab.summatory import (TWIST_RHO, _loglog_fit, abs_partial_sum,
+                                additive_twist, omega_certificate,
                                 run_growth_scan, run_twist_scan)
-from twistlab.transforms import kappa
+from twistlab.transforms import H_direct, H_fe_side, H_sum_side, kappa
 
 TWO_PI = 2 * math.pi
 ZETA2 = math.pi ** 2 / 6
@@ -78,8 +78,14 @@ class TestAdditiveTwist:
             tw = additive_twist(L, TWO_PI, T, twist_sp())
             assert 1.72 * 0.75 <= abs(tw) / T ** 0.75 <= 1.72 * 1.25
 
-    def test_below_one_is_zero(self):
-        assert additive_twist(get_preset("zeta"), TWO_PI, 0.5, twist_sp()) == 0.0
+    def test_below_one_sums_its_window(self):
+        # (0.5, 2) holds n = 1: a_1 e^{-(1/X)^p} e^{-i d alpha}, X = 0.5^{d+rho}
+        sp = twist_sp()
+        X = 0.5 ** (1.0 + sp.rho)
+        want = 1.0 * np.exp(-((1.0 / X) ** sp.p)) * np.exp(-1j * TWO_PI)
+        got = additive_twist(get_preset("zeta"), TWO_PI, 0.5, sp)
+        assert got == want
+        assert got != 0.0
 
 
 class TestGrowthExponent:
@@ -109,20 +115,21 @@ class TestGrowthExponent:
 
     def test_degenerate_grids(self):
         with pytest.raises(ValueError):
-            growth_exponent([1.0, 2.0, 4.0], [1.0, 2.0, 4.0])  # too few
+            _loglog_fit([1.0, 2.0, 4.0], [1.0, 2.0, 4.0])  # too few
         with pytest.raises(ValueError):
-            growth_exponent([1.0, 2.0, 2.0, 8.0], [1.0, 2.0, 3.0, 4.0])
+            _loglog_fit([1.0, 2.0, 2.0, 8.0], [1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ValueError):
-            growth_exponent([1.0, 2.0, 4.0, 8.0], [1.0, -2.0, 3.0, 4.0])
+            _loglog_fit([1.0, 2.0, 4.0, 8.0], [1.0, -2.0, 3.0, 4.0])
 
     def test_growth_scan_reports_the_fit(self):
         grid = [2.0 ** j for j in range(7, 12)]
         rep = run_growth_scan(get_preset("zeta-sq"), grid)
-        assert (rep.slope, rep.slope_stderr) == growth_exponent(grid, rep.sums)
+        slope, _, stderr = _loglog_fit(grid, rep.sums)
+        assert (rep.slope, rep.slope_stderr) == (slope, stderr)
 
     def test_stderr_reported(self):
         grid = [2.0 ** j for j in range(4, 10)]
-        slope, stderr = growth_exponent(grid, [g ** 1.5 for g in grid])
+        slope, _, stderr = _loglog_fit(grid, [g ** 1.5 for g in grid])
         assert slope == pytest.approx(1.5, abs=1e-12)
         assert stderr < 1e-12
 
@@ -179,6 +186,30 @@ class TestTwistScan:
             run_twist_scan(L, alpha, grid, twist_sp())
         with pytest.raises(ValueError, match="alpha"):
             omega_certificate(L, alpha, 1, kap, grid, twist_sp())
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_T_refused_before_any_table(self, T):
+        class Untouched(PeriodicProvider):
+            def coefficient(self, n):
+                raise AssertionError("coefficient read")
+
+            def bulk(self, N):
+                raise AssertionError("table built")
+
+        base = get_preset("zeta")
+        L = dataclasses.replace(base, coefficients=Untouched([1.0]))
+        kap = kappa(base, TWO_PI, 1)
+        grid = [T] + [float(2 ** j) for j in range(5, 9)]
+        sp = twist_sp()
+        calls = [lambda: additive_twist(L, TWO_PI, T, sp),
+                 lambda: run_twist_scan(L, TWO_PI, grid, sp),
+                 lambda: omega_certificate(L, TWO_PI, 1, kap, grid, sp),
+                 lambda: H_direct(L, TWO_PI, T, sp),
+                 lambda: H_sum_side(L, TWO_PI, T, sp),
+                 lambda: H_fe_side(L, T, kap, 1)]
+        for call in calls:
+            with pytest.raises(ValueError, match="T must be finite and > 0"):
+                call()
 
 
 class TestCertificate:

@@ -124,7 +124,8 @@ class TestFeSide:
     def test_zero_T(self):
         L = get_preset("zeta")
         k = kappa(L, TWO_PI, 1)
-        assert H_fe_side(L, 0.0, k, 1) == 0.0
+        with pytest.raises(ValueError, match="T must be finite and > 0"):
+            H_fe_side(L, 0.0, k, 1)
 
     def test_conjugates_complex_coefficient(self):
         # every preset has real a_m; a unimodular a_1 exposes the conjugation
