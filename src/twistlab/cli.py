@@ -209,6 +209,8 @@ def _cmd_coeffs(args) -> int:
     L = _load(args)
     params = {"preset": L.name}
     if args.bulk is not None:
+        if args.bulk < 1:
+            raise UsageError(f"--bulk must be >= 1, got {args.bulk}")
         table = L.coefficients.bulk(args.bulk).values
         params["bulk"] = args.bulk
         rows = [(n, *_fmt_complex(table[n - 1])) for n in range(1, args.bulk + 1)]

@@ -2,11 +2,11 @@
 
 Every provider is deterministic and total for n >= 1.  Each computes its
 coefficients in one place, bulk(N); the pointwise coefficient(n) reads a_n
-from bulk(n), and bulk(M) is the first M values of bulk(N).  The Dirichlet
-convolution splits the divisor pairs d e = n by Dirichlet's hyperbola method
-and adds the pairs with d <= e first, then those with d > e.  Each provider
-carries a magnitude bound |a_n| <= K n^c used by the evaluators' truncation
-rule.
+from bulk(n), and bulk(M) is the first M values of bulk(N) (bulk(0) is
+empty).  The Dirichlet convolution splits the divisor pairs d e = n by
+Dirichlet's hyperbola method and adds the pairs with d <= e first, then
+those with d > e.  Each provider carries a magnitude bound |a_n| <= K n^c
+used by the evaluators' truncation rule.
 
 A table is float64 when the series' coefficients are real and complex128
 otherwise; real values are never stored as complex.  Constant, periodic and
@@ -39,8 +39,8 @@ def _real_if_real(values: np.ndarray) -> np.ndarray:
 
 def _guard_bulk(N: int) -> int:
     N = int(N)
-    if N < 1:
-        raise ValueError("table length must be >= 1")
+    if N < 0:
+        raise ValueError(f"table length must be >= 0, got {N}")
     if N > MAX_BULK:
         raise BudgetError(f"coefficient table of length {N} exceeds the 1e7 cap")
     return N
@@ -105,7 +105,7 @@ class TableProvider(CoefficientProvider):
 
     def __init__(self, values: Sequence[complex]):
         self._values = _real_if_real(np.asarray(list(values), dtype=complex))
-        peak = float(np.max(np.abs(self._values))) if len(self._values) else 0.0
+        peak = float(np.max(np.abs(self._values), initial=0.0))
         self.mag_bound = (peak or 1.0, 0.0)
 
     def bulk(self, N: int) -> CoefficientTable:
@@ -147,7 +147,7 @@ class ArgumentScaleProvider(CoefficientProvider):
 
     def bulk(self, N: int) -> CoefficientTable:
         N = _guard_bulk(N)
-        R = 1  # the largest R with R^k <= N
+        R = 0  # the largest R with R^k <= N
         while (R + 1) ** self.k <= N:
             R += 1
         base = self.base.bulk(R).values

@@ -25,32 +25,15 @@ from .model import GammaFactorSpec, stirling_constants
 LOG_2PI = math.log(2.0 * math.pi)
 LOG_PI = math.log(math.pi)
 
-# B_{2k} / (2k (2k-1)) for k = 1..11, exact rationals rounded once.
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-    43867.0 / 244188.0,
-    -174611.0 / 125400.0,
-    854513.0 / 63756.0,
-)
+# B_2, B_4, ..., B_22 as exact (numerator, denominator) pairs.
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730),
+              (7, 6), (-3617, 510), (43867, 798), (-174611, 330), (854513, 138))
 
-# B_{2k} / (2k) for k = 1..8, for digamma.
-_DIGAMMA = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-    -3617.0 / 8160.0,
-)
+# B_{2k} / (2k (2k-1)) for k = 1..11 (log Gamma) and B_{2k} / (2k) for
+# k = 1..8 (digamma); int / int rounds each exact rational once.
+_STIRLING = tuple(b / (c * 2 * k * (2 * k - 1))
+                  for k, (b, c) in enumerate(_BERNOULLI, 1))
+_DIGAMMA = tuple(b / (c * 2 * k) for k, (b, c) in enumerate(_BERNOULLI[:8], 1))
 
 _SHIFT_RADIUS = 16.0
 
@@ -189,9 +172,7 @@ def sector_threshold(spec: GammaFactorSpec) -> float:
     arguments must be safely inside the right sector, enforced as
     t >= 2 max_j (|mu_j|+1)/lambda_j over numerator and denominator."""
     factors = spec.numerator + spec.denominator
-    if not factors:
-        return 0.0
-    return 2.0 * max((abs(mu) + 1.0) / lam for lam, mu in factors)
+    return 2.0 * max(((abs(mu) + 1.0) / lam for lam, mu in factors), default=0.0)
 
 
 def gamma_ratio_asymptotic(spec: GammaFactorSpec, x: float, t: float) -> complex:

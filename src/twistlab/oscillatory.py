@@ -3,9 +3,10 @@ resonance-kernel integrals
 
     I_n = int_{K_T} e^{i f(t) - i pi/4} dt,   f(t) = d t log(t / (e alpha n^{1/d})),
 
-over K_T = [2 alpha T, 3 alpha T].  The quadrature (integrate_oscillatory)
-uses 10-point Gauss-Legendre panels at most one local oscillation period
-wide and doubles the panel count until two levels agree.
+over K_T = [2 alpha T, 3 alpha T] for any finite T > 0 (each reader of T
+calls model.require_scale).  The quadrature (integrate_oscillatory) uses
+10-point Gauss-Legendre panels at most one local oscillation period wide
+and doubles the panel count until two levels agree.
 
 Conventions fixed by cross-validation against the quadrature itself (see the
 transform module's convention notes):
@@ -28,7 +29,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import QuadratureError
-from .model import require_alpha
+from .model import require_alpha, require_scale
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(10)
 
@@ -140,13 +141,13 @@ def integrate_oscillatory(phase: Callable, K: Tuple[float, float], tol: float,
 
 
 def in_stationary_range(pf: PhaseFamily, T: float) -> bool:
+    require_scale(T)
     return 2.0 * T < pf.x_n < 3.0 * T
 
 
 def I_n_quadrature(pf: PhaseFamily, T: float, tol: float) -> complex:
     """int_{K_T} e^{i f(t) - i pi/4} dt by adaptive panels."""
-    if T < 2.0:
-        raise ValueError("need T >= 2 for a nondegenerate K_T")
+    require_scale(T)
     res = integrate_oscillatory(pf.f, pf.interval(T), tol, dphase=pf.fprime)
     return res.value * complex(math.cos(-math.pi / 4), math.sin(-math.pi / 4))
 
@@ -167,6 +168,7 @@ def first_derivative_bound(pf: PhaseFamily, T: float) -> float:
     """First-derivative-test bound (unit amplitude, monotone f'): 1/m_1 with
     m_1 = d log 2 for n <= T^d and m_1 = d log(4/3) for n >= (4T)^d.
     Validated only as an order bound (constant taken as 1)."""
+    require_scale(T)
     if pf.x_n <= T:
         return 1.0 / (pf.d * math.log(2.0))
     if pf.x_n >= 4.0 * T:

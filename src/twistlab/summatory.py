@@ -11,9 +11,10 @@ whatever integers the open window holds, for every T > 0 (the window is
 empty only for T <= 1/4).  The transform's sum route
 (transforms.H_sum_side) takes the same terms over (2T)^d < n < (3T)^d, with
 a_n weighted by n^{1/(2d) - 1/2}; this module owns the window and the term
-kernel of both.  The guards on alpha, the degree and T live in model
-(require_alpha, require_degree, and SmoothingParams.cutoff for T); the twist
-and the certificate refuse a bad value before any coefficient table is built.
+kernel of both; an empty window reads the empty table bulk(0).  The guards
+on alpha, the degree and T live in model (require_alpha, require_degree,
+and SmoothingParams.cutoff for T); the twist and the certificate refuse a
+bad value before any coefficient table is built.
 The certificate checks, per grid point, the chain
 
     sum_{T<n<4T} |a_n|  >=  |twist(T)|  >=  (1/2) |kappa sqrt(d) a_m| T^{1/2+1/(2d)}
@@ -79,19 +80,17 @@ class CertificateReport:
 
 
 def abs_partial_sum(L: LSeriesInstance, X: float) -> float:
-    """sum_{n < X} |a_n|, compensated, ascending n."""
-    if X < 1:
-        raise ValueError("X must be >= 1")
-    N = int(math.ceil(X)) - 1
-    if N < 1:
-        return 0.0
-    table = L.coefficients.bulk(N).values
+    """sum_{n < X} |a_n|, compensated, ascending n (0.0 at X = 1)."""
+    if not (math.isfinite(X) and X >= 1.0):
+        raise ValueError(f"X must be finite and >= 1, got {X}")
+    table = L.coefficients.bulk(math.ceil(X) - 1).values
     return compensated_real_sum(np.abs(table))
 
 
 def open_window(lo: float, hi: float) -> Tuple[int, int]:
-    """The first and last integer n with lo < n < hi."""
-    return int(math.floor(lo)) + 1, int(math.ceil(hi)) - 1
+    """The first and last integer n with lo < n < hi (last = first - 1 if none)."""
+    first = int(math.floor(lo)) + 1
+    return first, max(int(math.ceil(hi)) - 1, first - 1)
 
 
 def twisted_terms(a_n: np.ndarray, n: np.ndarray, alpha: float, d: float,
@@ -108,8 +107,8 @@ def _twist_setup(L: LSeriesInstance, alpha: float, T_grid: Sequence[float],
     require_alpha(alpha)
     d = require_degree(L)
     cutoffs = [sp.cutoff(T, d) for T in T_grid]
-    hi = max((open_window(T, 4.0 * T)[1] for T in T_grid), default=1)
-    return d, cutoffs, L.coefficients.bulk(max(hi, 1)).values
+    hi = max((open_window(T, 4.0 * T)[1] for T in T_grid), default=0)
+    return d, cutoffs, L.coefficients.bulk(hi).values
 
 
 def _twist(table: np.ndarray, alpha: float, T: float, d: float, X: float,

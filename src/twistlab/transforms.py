@@ -118,8 +118,6 @@ def H_sum_side(L: LSeriesInstance, alpha: float, T: float,
     d = require_degree(L)
     X = sp.cutoff(T, d)
     lo, hi = open_window((2.0 * T) ** d, (3.0 * T) ** d)
-    if hi < lo:
-        return 0.0 + 0.0j
     n = np.arange(lo, hi + 1, dtype=np.float64)
     a_n = L.coefficients.bulk(hi).values[lo - 1 :] * n ** (1.0 / (2.0 * d) - 0.5)
     terms = twisted_terms(a_n, n, alpha, d, X, sp.p)

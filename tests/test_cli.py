@@ -218,13 +218,15 @@ class TestExitCodes:
         ["certify", "--preset", "zeta", "--T-grid", "0"],
         ["twist-scan", "--preset", "zeta", "--T-grid", "0:4:5"],
         ["transform", "--preset", "zeta", "--T-grid", "-5"],
+        ["coeffs", "--preset", "zeta", "--bulk", "-3"],
     ], ids=["bulk-0", "n-0", "X-negative", "X-inf", "epsilon-1", "short-grid",
             "rho-negative", "rho-nan", "rho-0", "alpha-nan", "alpha-negative",
             "alpha-0", "alpha-inf", "p-inf", "p-1e9", "certify-T-inf",
             "twist-T-inf", "summatory-X-inf", "transform-T-inf",
             "transform-geom-inf", "eval-t-nan", "eval-linear-nan",
             "eval-sigma-nan", "eval-sigma-inf", "gamma-x-nan", "osc-T-inf",
-            "certify-T-negative", "certify-T-0", "twist-T-0", "transform-T-negative"])
+            "certify-T-negative", "certify-T-0", "twist-T-0", "transform-T-negative",
+            "bulk-negative"])
     def test_usage_out_of_range(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1
@@ -659,7 +661,10 @@ class TestPinnedBytes:
     2.4): the coefficient and twist digests before real coefficient tables
     became float64, the eval digests before the phase-row builder took one
     t per call, the transform and certify digests before the sum route and
-    the twist shared their window and term kernel.  TestDeterminism
+    the twist shared their window and term kernel, and the two runs below
+    T = 1 before an empty coefficient range became the empty table bulk(0)
+    (four of that transform's five sum windows and that certificate's first
+    twist window hold no integer).  TestDeterminism
     compares two runs of the same code, this compares the code with its
     earlier versions.  Bits are promised for one numpy version, so another
     one skips."""
@@ -691,6 +696,12 @@ class TestPinnedBytes:
          "f58c53b9f303ab6047e95e12850a02f4ee1c0b359562b6975f7384660b15fc36"),
         (["certify", "--preset", "zeta-sq", "--m", "1", "--T-grid", "2^5:2^14"],
          "3776b86f0755605dd477dbeb2bf7c1a4fb3cde9d1319cc504af04b9274153b2f"),
+        # empty windows: no BLAS on either path
+        (["transform", "--preset", "zeta", "--m", "1", "--T-grid", "0.05:1:5",
+          "--routes", "sum,fe"],
+         "4691faa534007591d1d3999cf834f54c246bd04af11967e381c1c490dcb03794"),
+        (["certify", "--preset", "zeta", "--m", "1", "--T-grid", "0.1:1:4"],
+         "798629c061df247103720b559bab933e0eb01399eb426014253bfd979587d864"),
     ]
 
     @pytest.mark.parametrize("argv, digest", PINNED,

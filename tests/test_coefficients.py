@@ -646,6 +646,40 @@ class TestTableDtype:
         assert got.tobytes() == want.tobytes()
 
 
+class TestEmptyTable:
+    # bulk(0) is the first 0 values of every table: an empty table of the
+    # provider's dtype, so an empty coefficient range needs no branch
+
+    @pytest.mark.parametrize("prov", [
+        *(fresh_preset_provider(name) for name in PRESET_NAMES),
+        PeriodicProvider(COMPLEX_PERIOD),
+        TableProvider([3.0, 4.0]),
+        TableProvider([1.0, 2.0 - 0.5j]),
+        TableProvider([]),
+        VerticalShiftProvider(PeriodicProvider(COMPLEX_PERIOD), 0.5),
+        ArgumentScaleProvider(PeriodicProvider(COMPLEX_PERIOD), 2, 0.25),
+        DirichletConvolutionProvider(OnesProvider(), PeriodicProvider(COMPLEX_PERIOD)),
+    ], ids=[*PRESET_NAMES, "periodic-complex", "table-real", "table-complex",
+            "table-empty", "shift-complex", "scale-complex", "conv-mixed"])
+    def test_bulk_zero_is_empty(self, prov):
+        table = prov.bulk(0)
+        assert len(table) == 0
+        assert table.values.shape == (0,)
+        assert table.values.dtype == prov.bulk(3).values.dtype
+        with pytest.raises(ValueError, match="table length"):
+            prov.bulk(-1)
+        with pytest.raises(ValueError):
+            prov.coefficient(0)
+
+    def test_tau_integers_of_nothing(self):
+        assert tau_integers(0) == [0]
+        with pytest.raises(ValueError):
+            tau_integers(-1)
+
+    def test_empty_table_has_unit_magnitude_bound(self):
+        assert TableProvider([]).mag_bound == (1.0, 0.0)
+
+
 class TestRealTablesKeepEveryBit:
     # every consumer of a real table gives the bits it gave when the same
     # values were stored as complex128

@@ -5,12 +5,14 @@ arbitrary-precision library and frozen here.
 """
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from twistlab import evaluate
 from twistlab.errors import PoleError, SectorError
-from twistlab.gammafn import (_digamma_vec, _log_gamma_vec,
+from twistlab.gammafn import (_DIGAMMA, _STIRLING, _digamma_vec, _log_gamma_vec,
                               gamma_ratio_asymptotic, gamma_ratio_compare,
                               gamma_ratio_exact_grid, log_gamma,
                               sector_threshold)
@@ -86,6 +88,40 @@ class TestLogGamma:
         got = kernel(z)
         want = np.array([kernel(zi) for zi in z])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def bernoulli_numbers(m_max: int):
+    """B_0..B_m_max exactly, from sum_{j<=m} C(m+1, j) B_j = 0."""
+    B = [Fraction(1)]
+    for m in range(1, m_max + 1):
+        B.append(-sum(math.comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    return B
+
+
+class TestBernoulliConstants:
+    # at |z| >= 16 the k = 11 Stirling term is below 1e-24, so no value
+    # test sees a mistyped high entry: each constant is checked bit for bit
+    # against the exact Bernoulli numbers, rounded once
+
+    B = bernoulli_numbers(26)
+
+    def test_recurrence_oracle(self):
+        assert self.B[:5] == [1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30)]
+        assert self.B[26] == Fraction(8553103, 6)
+
+    def test_stirling_coefficients(self):
+        want = [float(self.B[2 * k] / (2 * k * (2 * k - 1))) for k in range(1, 12)]
+        assert [c.hex() for c in _STIRLING] == [w.hex() for w in want]
+
+    def test_digamma_coefficients(self):
+        want = [float(self.B[2 * k] / (2 * k)) for k in range(1, 9)]
+        assert [c.hex() for c in _DIGAMMA] == [w.hex() for w in want]
+
+    def test_euler_maclaurin_oracle_numbers(self):
+        # the zeta oracle keeps its own table: it must agree, not share
+        want = [float(self.B[2 * k]) for k in range(1, 13)]
+        assert [c.hex() for c in evaluate._EM_BERNOULLI] == [w.hex() for w in want]
+        assert evaluate._EM_B26.hex() == float(self.B[26]).hex()
 
 
 class TestGammaRatio:

@@ -168,6 +168,29 @@ class TestStationaryPhase:
         assert defects[15000] < 2.0
 
 
+class TestScaleGuard:
+    # K_T = [2 alpha T, 3 alpha T] is nondegenerate for every T > 0, and
+    # every reader of T shares model.require_scale
+
+    def test_small_T_is_the_rotated_quadrature(self):
+        pf = PhaseFamily(alpha=TWO_PI, n=1, d=1.0)
+        raw = integrate_oscillatory(pf.f, pf.interval(1.0), 1e-6, dphase=pf.fprime)
+        got = I_n_quadrature(pf, 1.0, 1e-6)
+        assert got == pytest.approx(raw.value * np.exp(-0.25j * math.pi),
+                                    rel=1e-15, abs=0.0)
+        assert I_n_quadrature(pf, 0.5, 1e-6) != 0.0
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda pf, T: I_n_quadrature(pf, T, 1e-4),
+        I_n_stationary_phase, first_derivative_bound, in_stationary_range,
+    ], ids=["quadrature", "stationary", "first-derivative", "in-range"])
+    def test_bad_T_refused(self, call, T):
+        pf = PhaseFamily(alpha=TWO_PI, n=3, d=1.0)
+        with pytest.raises(ValueError, match="T must be finite and > 0"):
+            call(pf, T)
+
+
 class TestFirstDerivativeBound:
     def test_small_n_value(self):
         pf = PhaseFamily(alpha=TWO_PI, n=3000, d=1.0)

@@ -44,6 +44,19 @@ class TestAbsPartialSum:
         assert got == pytest.approx(want, rel=1e-12)
 
 
+    @pytest.mark.parametrize("X", [math.nan, math.inf, 0.5])
+    def test_bad_X_refused(self, X):
+        with pytest.raises(ValueError, match=f"X must be finite and >= 1, got {X}"):
+            abs_partial_sum(get_preset("zeta"), X)
+
+    def test_range_edges(self):
+        # n < 1 is the empty table, n < 1.5 holds a_1 alone
+        L = get_preset("dirichlet-chi4")
+        assert abs_partial_sum(L, 1.0) == 0.0
+        assert abs_partial_sum(L, 1.5) == abs(L.coefficients.coefficient(1))
+        assert abs_partial_sum(get_preset("delta"), 1.5) == 1.0
+
+
 class TestAdditiveTwist:
     def test_zeta_resonant_anchor(self):
         L = get_preset("zeta")

@@ -156,6 +156,12 @@ class TestSumSide:
         L = get_preset("zeta")
         assert H_sum_side(L, TWO_PI, 0.3, SmoothingParams(X=100.0)) == 0.0
 
+    def test_window_lost_to_underflow(self):
+        # (2T)^2 and (3T)^2 both round to 0: the window (0, 0) is empty,
+        # not an inverted range
+        L = get_preset("zeta-sq")
+        assert H_sum_side(L, TWO_PI, 1e-200, SmoothingParams()) == 0.0
+
 
 class TestRoutes:
     def test_three_route_consistency_T50(self):
