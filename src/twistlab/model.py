@@ -153,11 +153,16 @@ class SmoothingParams:
 
     def cutoff(self, T: float, d: float) -> float:
         """X if set, else the scale-aware default T^{d + rho}; a T that is
-        not finite and > 0 is refused, whether X is set or not."""
+        not finite and > 0 is refused, whether X is set or not, and so is a
+        default that overflows."""
         require_scale(T)
         if self.X is not None:
             return self.X
-        return float(T) ** (d + self.rho)
+        try:
+            return float(T) ** (d + self.rho)
+        except OverflowError:
+            raise ValueError(f"cutoff T^(d + rho) overflows at T = {T}, "
+                             f"d = {d}, rho = {self.rho}") from None
 
 
 @dataclass(frozen=True)

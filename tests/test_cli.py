@@ -219,6 +219,9 @@ class TestExitCodes:
         ["twist-scan", "--preset", "zeta", "--T-grid", "0:4:5"],
         ["transform", "--preset", "zeta", "--T-grid", "-5"],
         ["coeffs", "--preset", "zeta", "--bulk", "-3"],
+        ["certify", "--preset", "zeta", "--m", "1", "--T-grid", "1e300"],
+        ["transform", "--preset", "zeta", "--m", "1", "--T-grid", "1e300",
+         "--routes", "sum,fe"],
     ], ids=["bulk-0", "n-0", "X-negative", "X-inf", "epsilon-1", "short-grid",
             "rho-negative", "rho-nan", "rho-0", "alpha-nan", "alpha-negative",
             "alpha-0", "alpha-inf", "p-inf", "p-1e9", "certify-T-inf",
@@ -226,7 +229,7 @@ class TestExitCodes:
             "transform-geom-inf", "eval-t-nan", "eval-linear-nan",
             "eval-sigma-nan", "eval-sigma-inf", "gamma-x-nan", "osc-T-inf",
             "certify-T-negative", "certify-T-0", "twist-T-0", "transform-T-negative",
-            "bulk-negative"])
+            "bulk-negative", "certify-cutoff-overflow", "transform-cutoff-overflow"])
     def test_usage_out_of_range(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1
@@ -323,6 +326,15 @@ class TestExitCodes:
         code, _, err = run(capsys, "transform", "--preset", "zeta",
                            "--m", "1", "--T-grid", "5", "--routes", "direct")
         assert code == 2
+
+    def test_quadrature_past_the_panel_budget(self, capsys):
+        # K_T at T = 1e8 needs 3.9e8 one-period panels, past PANEL_BUDGET:
+        # refused before any node is built
+        code, out, err = run(capsys, "osc", "--d", "1", "--alpha", "1",
+                             "--T", "1e8", "--n", "1:1", "--mode", "quad")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("computation error: ")
 
     def test_budget_inf_lifts_the_guard(self, capsys, monkeypatch):
         argv = ("transform", "--preset", "zeta", "--m", "1", "--T-grid", "5",

@@ -132,7 +132,7 @@ def panel_nodes_of_K_T(name, T):
     """Gauss-Legendre nodes on K_T = [2 alpha T, 3 alpha T], 128 panels:
     several nodes per Chebyshev centre, as in H_direct."""
     alpha = kernel_series(name).resonance_alpha(1)
-    return _panel_nodes(2.0 * alpha * T, 3.0 * alpha * T, 128)[0]
+    return _panel_nodes(np.linspace(2.0 * alpha * T, 3.0 * alpha * T, 129))[0]
 
 
 KERNEL_T_SETS = {
@@ -428,8 +428,8 @@ class TestLineEvaluator:
         # multiples of the spacing; each centre's phase row is formed once
         ev = SmoothedLineEvaluator(get_preset("zeta"), SmoothingParams(X=2000.0))
         a, b = 754.0, 1131.0
-        level1 = _panel_nodes(a, b, 64)[0]
-        level2 = _panel_nodes(a, b, 128)[0]
+        level1 = _panel_nodes(np.linspace(a, b, 65))[0]
+        level2 = _panel_nodes(np.linspace(a, b, 129))[0]
         ev.values(level1)
         first = ev.phase_evals
         ev.values(level2)
@@ -446,7 +446,8 @@ class TestLineEvaluator:
         # call)
         sets = [np.array([231.25, 231.3, 231.4]), np.array([5.1, 5.6, 6.3]),
                 np.array([5.35, 231.33])] + [
-            _panel_nodes(a, a + 60.0, n)[0] for a in (200.0, 230.0) for n in (24, 48)]
+            _panel_nodes(np.linspace(a, a + 60.0, n + 1))[0]
+            for a in (200.0, 230.0) for n in (24, 48)]
         orders = [range(len(sets)), range(len(sets) - 1, -1, -1)]
         orders += [[i] for i in range(len(sets))]  # each set on a fresh evaluator
         results = {}
@@ -461,7 +462,7 @@ class TestLineEvaluator:
         # threads share one fresh evaluator and call it on interleaved
         # level-1 and level-2 node sets (one set a lone centre); every result
         # equals the serial result bit for bit
-        sets = [_panel_nodes(a, a + 50.0, n)[0]
+        sets = [_panel_nodes(np.linspace(a, a + 50.0, n + 1))[0]
                 for a in (300.0, 320.0, 345.0) for n in (20, 40)]
         sets.append(np.array([331.2, 331.3]))
         orders = ([6, 0, 1, 2, 3, 4, 5], [5, 2, 3, 0, 4, 1, 6], [1, 6, 4, 3, 0, 5, 2])

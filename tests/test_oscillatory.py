@@ -6,13 +6,15 @@ the package quadrature itself, which is the oracle that fixed its sqrt(2 pi)
 normalization and its validity window.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from twistlab import oscillatory
 from twistlab.errors import QuadratureError
-from twistlab.oscillatory import (PhaseFamily, I_n_quadrature,
-                                  I_n_stationary_phase,
+from twistlab.oscillatory import (_BLOCK_PANELS, PhaseFamily, I_n_quadrature,
+                                  I_n_stationary_phase, _panel_nodes,
                                   first_derivative_bound,
                                   in_stationary_range, integrate_oscillatory)
 
@@ -79,6 +81,105 @@ class TestIntegrateOscillatory:
         left = integrate_oscillatory(pf.f, (a, mid), tol, dphase=pf.fprime).value
         right = integrate_oscillatory(pf.f, (mid, b), tol, dphase=pf.fprime).value
         assert abs(whole - (left + right)) <= 2 * tol
+
+
+def whole_level(phase, a, b, n, amplitude=None):
+    """The terms of one level of n panels on [a, b], built in one piece."""
+    nodes, weights = _panel_nodes(np.linspace(a, b, n + 1))
+    theta = phase(nodes)
+    vals = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=vals.real)
+    np.sin(theta, out=vals.imag)
+    if amplitude is not None:
+        vals *= amplitude(nodes)
+    vals *= weights
+    return vals
+
+
+class TestStreamedLevels:
+    # an AC-3 integral below the window, d = 1: its last level has 22,348
+    # panels, 22 blocks
+    PF = PhaseFamily(alpha=TWO_PI, n=420, d=1.0)
+    T = 5000.0
+
+    def test_multi_block_matches_the_whole_level(self):
+        a, b = self.PF.interval(self.T)
+        r = integrate_oscillatory(self.PF.f, (a, b), 1e-3, dphase=self.PF.fprime)
+        blocks = math.ceil(r.panels / _BLOCK_PANELS)
+        assert blocks == 22
+        vals = whole_level(self.PF.f, a, b, r.panels)
+        want = complex(np.sum(vals))
+        exact = complex(math.fsum(vals.real), math.fsum(vals.imag))
+        # a priori rounding bound of each sum of these terms: the depth of a
+        # block's pairwise tree (over real and imaginary doubles) plus one
+        # addition per block, times the unit roundoff and sum |x_i|; |I_n|
+        # is about 0.57 here against sum |x_i| = b - a = 31,416
+        depth = math.ceil(math.log2(2 * 10 * _BLOCK_PANELS)) + blocks
+        tol = 2 * depth * 2.0 ** -53 * float(np.sum(np.abs(vals)))
+        assert abs(r.value - want) <= tol
+        assert abs(r.value - exact) <= tol
+        assert r.value != want  # the orders differ, and so do the last bits
+
+    @pytest.mark.parametrize("n, T, amplitude", [
+        (1, 20.0, None),
+        (77, 30.0, None),
+        (1, 20.0, lambda t: np.exp(0.5j * t) / t),
+    ], ids=["n1", "n77", "amplitude"])
+    def test_one_block_is_the_whole_level(self, n, T, amplitude):
+        pf = PhaseFamily(alpha=TWO_PI, n=n, d=1.0)
+        a, b = pf.interval(T)
+        r = integrate_oscillatory(pf.f, (a, b), 1e-10, dphase=pf.fprime,
+                                  amplitude=amplitude)
+        assert r.panels <= _BLOCK_PANELS
+        want = complex(np.sum(whole_level(pf.f, a, b, r.panels, amplitude)))
+        assert r.value == want
+
+    def test_amplitude_sees_blocks_in_ascending_order(self):
+        calls = []
+
+        def amplitude(t):
+            calls.append(t.copy())
+            return np.ones_like(t)
+
+        a, b = self.PF.interval(self.T)
+        r = integrate_oscillatory(self.PF.f, (a, b), 1e-3,
+                                  dphase=self.PF.fprime, amplitude=amplitude)
+        # split the calls into levels: a level starts again at a
+        levels = []
+        for t in calls:
+            assert 0 < t.size <= 10 * _BLOCK_PANELS
+            if levels and t[0] > levels[-1][-1][-1]:
+                levels[-1].append(t)
+            else:
+                levels.append([t])
+        assert [sum(t.size for t in level) for level in levels] == [
+            5 * r.panels, 10 * r.panels]
+        for level in levels:
+            nodes = np.concatenate(level)
+            n = nodes.size // 10
+            assert [t.size for t in level[:-1]] == [10 * _BLOCK_PANELS] * (len(level) - 1)
+            assert np.array_equal(nodes, _panel_nodes(np.linspace(a, b, n + 1))[0])
+
+    def test_memory_is_one_block(self):
+        I_n_quadrature(self.PF, self.T, 1e-3)  # warm up numpy's caches
+        tracemalloc.start()
+        try:
+            I_n_quadrature(self.PF, self.T, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a whole level of 22,348 panels held 9.8 MB of nodes and values
+        assert peak < 2 * 2 ** 20
+
+    def test_budget_checked_before_any_node(self, monkeypatch):
+        # K_T at T = 1e8 needs about 3.9e8 one-period panels, far past
+        # PANEL_BUDGET: no level may be built
+        def refuse(edges):
+            raise AssertionError(f"built a level of {edges.size - 1} panels")
+
+        monkeypatch.setattr(oscillatory, "_panel_nodes", refuse)
+        with pytest.raises(QuadratureError, match="one-period rule"):
+            I_n_quadrature(PhaseFamily(1.0, 1, 1.0), 1e8, 1e-4)
 
 
 class TestPhaseFamily:
