@@ -703,6 +703,10 @@ class TestPinnedBytes:
          "45f978b02306c9867bdd21399a008a7493fb1d79976b2260deda62f3d2f93cd3"),
         (["eval", "--preset", "delta", "--sigma", "0.6", "--t", "5:25:5"],
          "0f18d04a2a16bc73e49936306d47325935ac0cbe8078fc944e4d5c0295ec221b"),
+        # straddles |t| >= 2, below which no residue is applied; the t = 2
+        # row cancels the pole term to its last bits
+        (["eval", "--preset", "zeta-shift-pair", "--sigma", "0.5", "--t", "1:3:5"],
+         "1049be9e2c4eb6017be6af7b421e5a23258cd8cb2a057bd5575e88cb3ef0aa2e"),
         (["transform", "--preset", "zeta-shift-pair", "--m", "1", "--T-grid", "50:150:3",
           "--routes", "sum,fe"],
          "f58c53b9f303ab6047e95e12850a02f4ee1c0b359562b6975f7384660b15fc36"),
