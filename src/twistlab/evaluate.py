@@ -7,7 +7,8 @@ what it computes differs from F(s) by (i) one term per declared pole of F and
 SmoothedLineEvaluator is the one implementation of the series and of both
 corrections, for any abscissa sigma and many t at once: it removes the pole
 terms (from the declared Laurent data) and the k = 1, 2 residues (through the
-functional equation).  smoothed_value is its one-point case.
+functional equation).  smoothed_value is its one-point case.  plan_line
+makes every choice they carry out, before any coefficient table exists.
 
 `tail_bound` certifies only the truncation of each series.  It does not
 cover the contour remainder past k = 2, which can be far larger: at
@@ -45,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -76,11 +77,6 @@ class SmoothedEvaluation:
     value: complex
     terms_used: int
     tail_bound: float
-
-
-def default_cutoff(t: float, d: float) -> float:
-    """Standalone-evaluation cutoff: max(1e3, 10 (t/2pi)^d)."""
-    return max(1e3, 10.0 * (abs(t) / (2.0 * math.pi)) ** d)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -133,6 +129,84 @@ def _truncation_count(K: float, c: float, x: float, X: float, p: float,
         else:
             lo = mid + 1
     return max(8, lo), bound(max(8, lo))
+
+
+@dataclass(frozen=True, eq=False)
+class LinePlan:
+    """Every choice of a smoothed evaluation on sigma + it, made by plan_line
+    before any table exists: X, (abscissa, length) of the main series (`terms`
+    long) and of each residue series, the residue columns x_k = sigma - kp
+    and const_k = (-1)^k X^{-kp}/k! omega Q^{1-2x_k}, `width` and `tail`."""
+
+    X: float
+    terms: int
+    tail: float
+    series: Tuple[Tuple[float, int], ...]
+    x_k: np.ndarray
+    const_k: np.ndarray
+    poles: Tuple[complex, ...]
+    width: int
+    lam: float
+    spacing: float
+
+    def phase_work(self, a: float, b: float) -> float:
+        """Phase entries (SmoothedLineEvaluator.phase_evals) formed on nodes
+        covering [a, b]: `width` per centre (`spacing` apart), per anchor row
+        (one per _BLOCK centres) and per offset-block row, each formed once."""
+        centres = (b - a) / self.spacing + 1.0
+        return self.width * (centres + centres / _BLOCK + 1.0 + _BLOCK)
+
+    def applied(self, t: np.ndarray) -> np.ndarray:
+        """Where each residue is applied: |t| >= 2 with the reflected point
+        1 - s + kp at least 0.25 from every conjugated pole."""
+        reflected = 1.0 - self.x_k - 1j * t
+        applied = np.abs(t) >= _MIN_T_FOR_FE_CORRECTION
+        for pole in self.poles:
+            applied = applied & (np.abs(reflected - np.conj(pole)) >= _FE_SAFE_RADIUS)
+        return applied
+
+
+def plan_line(L: LSeriesInstance, sp: SmoothingParams, sigma: float,
+              t: Optional[float] = None, T: Optional[float] = None) -> LinePlan:
+    """The plan of a smoothed evaluation of L on sigma + it.  X is
+    sp.cutoff(T, d) given a scale T, else sp.X, else max(1e3, 10 (|t|/2pi)^d)
+    given one t.  Each series ends at the smallest N whose certified tail is
+    below its eps (_truncation_count); residue k <= _K_TERMS is taken while
+    X^{-kp}/k! >= 1e-300, to the accuracy eps_k that matters at that weight."""
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got sigma={sigma!r}")
+    if T is not None:
+        X = sp.cutoff(T, L.invariants().d)
+    elif sp.X is not None:
+        X = sp.X
+    elif t is not None:
+        X = max(1e3, 10.0 * (abs(t) / (2.0 * math.pi)) ** L.invariants().d)
+    else:
+        raise ValueError("line evaluator needs an explicit X")
+    X, p, fe = float(X), sp.p, L.fe
+    K, c = L.coefficients.mag_bound
+    terms, tail = _truncation_count(K, c, sigma, X, p, sp.epsilon)
+    series, x_k, const_k = [(sigma, terms)], [], []
+    for k in range(1, _K_TERMS + 1):
+        weight = X ** (-k * p) / math.factorial(k)
+        if weight < 1e-300:
+            break
+        eps_k = min(1e-4, max(sp.epsilon, sp.epsilon / (10.0 * weight)))
+        x = sigma - k * p
+        N_k, _ = _truncation_count(K, c, 1.0 - x, X, p, eps_k)
+        tail += eps_k * weight
+        series.append((1.0 - x, N_k))
+        x_k.append(x)
+        const_k.append((-1) ** k * weight * fe.omega * fe.Q ** (1.0 - 2.0 * x))
+    width = max(N for _, N in series)
+    # lambda centres ln n - lambda on [0, ln width]; an 8-bit spacing keeps
+    # j spacing, (j - r) spacing and r spacing exact (_phase_products)
+    lam = 0.5 * math.log(width)
+    mantissa, exponent = math.frexp(2.0 * _KERNEL_RADIUS / lam)
+    spacing = math.ldexp(math.floor(mantissa * 256.0) / 256.0, exponent)
+    return LinePlan(X, terms, tail, tuple(series), np.array(x_k)[:, None],
+                    np.array(const_k, dtype=complex)[:, None],
+                    tuple(pole.location for pole in fe.poles), width, lam, spacing)
 
 
 def _chebyshev_order(r: float) -> int:
@@ -200,27 +274,26 @@ def _check_finite_t(t) -> None:
         raise ValueError(f"t must be finite, got t={float(bad)!r}")
 
 
-def _check_pole_proximity(L: LSeriesInstance, s: complex) -> None:
+def near_pole(L: LSeriesInstance, sigma: float, a: float, b: float) -> Optional[complex]:
+    """The first declared pole of L within _POLE_RADIUS of sigma + i[a, b]."""
     for pole in L.fe.poles:
-        if abs(s - pole.location) < _POLE_RADIUS:
-            raise PoleError(f"evaluation point {s} within {_POLE_RADIUS} of pole "
-                            f"at {pole.location}")
+        z = pole.location
+        if abs(complex(z.real - sigma, z.imag - min(max(z.imag, a), b))) < _POLE_RADIUS:
+            return z
 
 
 def smoothed_value(L: LSeriesInstance, z: complex, t: float,
                    sp: SmoothingParams) -> SmoothedEvaluation:
     """Smoothed evaluation of F(z + it): the one-point case of
-    SmoothedLineEvaluator at sigma = Re(z + it), with X = sp.X or, when that
-    is unset, default_cutoff(t, d).  Declared pole terms and the leading
-    contour residues are removed, so the value approximates F itself rather
-    than the bare smoothed object.
-    """
+    SmoothedLineEvaluator at sigma = Re(z + it), planned for this t.
+    Declared pole terms and the leading contour residues are removed, so the
+    value approximates F itself rather than the bare smoothed object."""
     _check_finite_t(t)
     s = complex(z) + 1j * t
-    _check_pole_proximity(L, s)
-    if sp.X is None:
-        sp = sp.with_X(default_cutoff(t, L.invariants().d))
-    line = SmoothedLineEvaluator(L, sp, sigma=s.real)
+    pole = near_pole(L, s.real, s.imag, s.imag)
+    if pole is not None:
+        raise PoleError(f"evaluation point {s} within {_POLE_RADIUS} of pole at {pole}")
+    line = SmoothedLineEvaluator(L, sp, sigma=s.real, t=t)
     value = complex(line.values(np.array([s.imag]))[0])
     return SmoothedEvaluation(value=value, terms_used=line.terms,
                               tail_bound=line.tail)
@@ -349,108 +422,64 @@ class SmoothedLineEvaluator:
     """F(sigma + it) on many t at once with a fixed cutoff X, sharing
     precomputed tables.
 
-    The weighted series is truncated at the smallest N (`terms`) whose
-    certified tail bound drops below sp.epsilon.  Every declared pole term
-    is removed, and so are the contour residues (-1)^k/k! F(s - kp) X^{-kp},
-    k = 1, 2, each computed through the functional equation from the
-    conjugated series at 1 - s + kp.  A residue is applied at those t with
-    |t| >= 2 whose reflected point 1 - s + kp keeps 0.25 away from every
-    conjugated pole.  `tail` bounds the truncation error of the series plus
-    that of every residue series.
+    The evaluator carries out `plan` (plan_line, from sp, sigma and the
+    caller's t or T) and decides nothing: the plan fixes X, the series
+    lengths (`terms` for the main one), `tail`, and which contour residues
+    (-1)^k/k! F(s - kp) X^{-kp} are removed, each through the functional
+    equation from the conjugated series at 1 - s + kp, and where.  Every
+    declared pole term is removed too.  The constructor builds the tables.
 
     `values` sums a single t directly and several t by Chebyshev blocks:
-    centres at the multiples of `spacing`, so that |t - m| |ln n - lambda|
-    <= 6 with lambda = ln(width)/2 (the spacing 12/lambda rounded down to 8
-    significant bits), and the smallest order K (29) whose Jacobi-Anger
-    remainder is below 2^-53.  Each centre's sums are formed once and kept
+    centres at the multiples of the plan's `spacing`, so that
+    |t - m| |ln n - lambda| <= 6, and the smallest order K (29) whose
+    Jacobi-Anger remainder is below 2^-53.  Each centre's sums are formed once and kept
     for the evaluator's lifetime, so values do not depend on call history; the
     corrections take log Gamma and psi at every t.  `width` is the longest
     series, and `phase_evals` counts the phase entries formed so far (an
     exponential at each prime n, one product at each composite, or one
     anchor-times-offset product): `width` per single t summed, per centre
     formed and per anchor row, and `_BLOCK * width` for the offset block;
-    `phase_estimate` predicts it for nodes that cover an interval.
+    the plan's `phase_work` predicts it for nodes that cover an interval.
     """
 
     def __init__(self, L: LSeriesInstance, sp: SmoothingParams,
-                 sigma: float = 0.5):
-        if sp.X is None:
-            raise ValueError("line evaluator needs an explicit X")
-        if not math.isfinite(sigma):
-            raise ValueError(f"sigma must be finite, got sigma={sigma!r}")
-        self.L = L
-        self.sp = sp
-        self.sigma = sigma
-        self.X = X = sp.X
-        K, c = L.coefficients.mag_bound
-        self.terms, self.tail = _truncation_count(K, c, sigma, X, sp.p, sp.epsilon)
-        # (abscissa, length) of the main series, then of each residue series
-        series = [(sigma, self.terms)]
-        x_k, const_k = [], []
+                 sigma: float = 0.5, *, t: Optional[float] = None,
+                 T: Optional[float] = None):
+        self.plan = plan = plan_line(L, sp, sigma, t, T)
+        self.L, self.sp, self.sigma, self.X = L, sp, sigma, plan.X
+        self.terms, self.tail, self.width, self.spacing = (
+            plan.terms, plan.tail, plan.width, plan.spacing)
         self._poles = [pole for pole in L.fe.poles if pole.leading]
         if any(pole.order > 2 for pole in self._poles):
             raise NotImplementedError("pole corrections cover orders 1 and 2")
-        for k in range(1, _K_TERMS + 1):
-            weight = X ** (-k * sp.p) / math.factorial(k)
-            if weight < 1e-300:
-                break
-            # the term only needs enough relative accuracy to matter at `weight`
-            eps_k = min(1e-4, max(sp.epsilon, sp.epsilon / (10.0 * weight)))
-            x = sigma - k * sp.p
-            N_k, _ = _truncation_count(K, c, 1.0 - x, X, sp.p, eps_k)
-            self.tail += eps_k * weight
-            series.append((1.0 - x, N_k))
-            x_k.append(x)
-            const_k.append((-1) ** k * weight * L.fe.omega
-                           * L.fe.Q ** (1.0 - 2.0 * x))
-        self._x_k = np.array(x_k)[:, None]
-        self._const_k = np.array(const_k, dtype=complex)[:, None]
-        self.width = width = max(N for _, N in series)
-        table = L.coefficients.bulk(width).values
-        n = np.arange(1, width + 1, dtype=np.float64)
+        table = L.coefficients.bulk(plan.width).values
+        n = np.arange(1, plan.width + 1, dtype=np.float64)
         self._lnn = np.log(n)
-        # kernel variable ln n - lambda: lambda centres it on [0, ln width],
-        # so |ln n - lambda| <= lambda
-        self._lam = 0.5 * math.log(width)
-        # rounded down to 8 significant bits, so that a centre j spacing and
-        # the parts (j - r) spacing and r spacing of its phase row are exact
-        # (_phase_products)
-        mantissa, exponent = math.frexp(2.0 * _KERNEL_RADIUS / self._lam)
-        self.spacing = math.ldexp(math.floor(mantissa * 256.0) / 256.0, exponent)
         self.phase_evals = 0
         self._pole_locations = np.array(
             [pole.location for pole in self._poles], dtype=complex)[:, None]
-        damp = (n / X) ** sp.p
+        damp = (n / plan.X) ** sp.p
         # Residue series are kept with unconjugated coefficients: the series
         # sum conj(a_n) w_n n^{-(1-x)+it} is the conjugate of
         # sum a_n w_n n^{-(1-x)-it}, so every series takes a prefix of one
         # phase block e^{-im ln n}.
         with np.errstate(over="ignore", invalid="ignore"):  # refused below
             self._coefs = [table[:N] * np.exp(-damp[:N] - x * self._lnn[:N])
-                           for x, N in series]
-        for (x, _), coefs in zip(series, self._coefs):
+                           for x, N in plan.series]
+        for (x, _), coefs in zip(plan.series, self._coefs):
             bad = np.flatnonzero(~np.isfinite(coefs))
             if bad.size:
                 raise ValueError(
                     f"weighted coefficients a_n e^(-(n/X)^p) n^(-sigma) at "
                     f"sigma={x!r} are not finite, first at n={bad[0] + 1}")
         # (sorted centre indices, their per-centre sums)
-        self._cache = (np.empty(0), np.empty((_ORDER, len(series), 2, 0)))
+        self._cache = (np.empty(0), np.empty((_ORDER, len(plan.series), 2, 0)))
 
     def values(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         _check_finite_t(t)
         sums = self._series_sums(t)
         return sums[0] - self._corrections(t, np.conj(sums[1:]))
-
-    def phase_estimate(self, a: float, b: float) -> float:
-        """The phase entries (see phase_evals) that values() forms on nodes
-        covering [a, b]: `width` per centre, with the centres `spacing`
-        apart, per anchor row (one per _BLOCK centres) and per row of the
-        offset block.  The evaluator keeps each centre's sums, so the
-        quadrature levels after the first form no new row."""
-        centres = (b - a) / self.spacing + 1.0
-        return self.width * (centres + centres / _BLOCK + 1.0 + _BLOCK)
 
     def _tables(self, index: np.ndarray):
         """The cached per-centre sums (see _form_sums), after forming those
@@ -478,7 +507,7 @@ class SmoothedLineEvaluator:
         (order, terms) table Re or Im c_n J_k((ln n - lambda) spacing/2),
         k < _ORDER (_bessel_table).  A real c_n (a float64 table) has no
         imaginary part to look at."""
-        bessel = _bessel_table((self._lnn - self._lam) * (0.5 * self.spacing), _ORDER)
+        bessel = _bessel_table((self._lnn - self.plan.lam) * (0.5 * self.spacing), _ORDER)
 
         def parts(coef):
             if np.iscomplexobj(coef):
@@ -568,17 +597,7 @@ class SmoothedLineEvaluator:
         C, column = self._tables(index)
         u = t - index * self.spacing
         sums = _chebyshev_sum(C[..., column], (2.0 / self.spacing) * u)
-        return np.exp(-1j * self._lam * u) * (sums[:, 0] + 1j * sums[:, 1])
-
-    def _applied(self, t: np.ndarray) -> np.ndarray:
-        """Where each residue is applied: |t| >= 2 with the reflected point
-        1 - s + kp at least 0.25 from every conjugated pole."""
-        reflected = 1.0 - self._x_k - 1j * t
-        applied = np.abs(t) >= _MIN_T_FOR_FE_CORRECTION
-        for pole in self.L.fe.poles:
-            applied = applied & (np.abs(reflected - np.conj(pole.location))
-                                 >= _FE_SAFE_RADIUS)
-        return applied
+        return np.exp(-1j * self.plan.lam * u) * (sums[:, 0] + 1j * sums[:, 1])
 
     def _corrections(self, t: np.ndarray, ft: np.ndarray) -> np.ndarray:
         """Pole terms plus contour residues at each t; ft holds the
@@ -591,8 +610,8 @@ class SmoothedLineEvaluator:
         p, lnX, fe = self.sp.p, math.log(self.X), self.L.fe
         w0 = self._pole_locations - (self.sigma + 1j * t)
         w = w0 / p
-        applied = self._applied(t)
-        ratio_args, signs = _ratio_args(fe.gamma, self._x_k, t)
+        applied = self.plan.applied(t)
+        ratio_args, signs = _ratio_args(fe.gamma, self.plan.x_k, t)
         ratio_args = np.where(applied, ratio_args, 1.0)
         _check_poles(w)
         _check_poles(ratio_args)
@@ -606,5 +625,5 @@ class SmoothedLineEvaluator:
                          + pole.leading[1] * gj)
 
         log_ratio = np.sum(signs * _log_gamma_vec(ratio_args), axis=0)
-        resid = self._const_k * np.exp(log_ratio - 2j * t * math.log(fe.Q)) * ft
+        resid = self.plan.const_k * np.exp(log_ratio - 2j * t * math.log(fe.Q)) * ft
         return corr + np.sum(np.where(applied, resid, 0.0), axis=0)

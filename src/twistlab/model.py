@@ -124,8 +124,8 @@ class SmoothingParams:
     """Parameters of the smoothing weight exp(-(n/X)^p) and its truncation.
 
     X is optional; operations that know their scale (the transforms and the
-    additive twist) fill it in through cutoff(T, d) = T^{d+rho}, standalone
-    evaluation picks a default.
+    additive twist) fill it in through cutoff(T, d) = T^{d+rho}, and
+    standalone evaluation takes the one-t default of evaluate.plan_line.
     """
 
     p: float = 2.0
@@ -154,7 +154,9 @@ class SmoothingParams:
     def cutoff(self, T: float, d: float) -> float:
         """X if set, else the scale-aware default T^{d + rho}; a T that is
         not finite and > 0 is refused, whether X is set or not, and so is a
-        default that overflows."""
+        default that overflows.  The one T rule: plan_line calls it for the
+        direct route; the twist and the sum route truncate no series and
+        call it directly."""
         require_scale(T)
         if self.X is not None:
             return self.X

@@ -321,6 +321,19 @@ class TestExitCodes:
         assert code == 2
         assert "computation error" in err
 
+    def test_pole_on_the_transform_segment(self, capsys, tmp_path):
+        # zeta with one more pole, at 1/2 + 130i inside K_T = [125.7, 188.5]
+        config = dict(PRESET_CONFIGS["zeta"], name="zeta-pole-130")
+        config["poles"] = config["poles"] + [{"location": [0.5, 130.0], "order": 1}]
+        path = tmp_path / "pole.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "transform", "--config", str(path), "--m", "1",
+                             "--T-grid", "10", "--routes", "direct")
+        assert code == 2
+        assert out == ""
+        assert err == ("computation error: pole of 'zeta-pole-130' on the "
+                       "integration segment\n")
+
     def test_budget_exit(self, capsys, monkeypatch):
         monkeypatch.setenv("TWISTLAB_BUDGET", "10")
         code, _, err = run(capsys, "transform", "--preset", "zeta",

@@ -18,7 +18,7 @@ from twistlab.errors import BudgetError, PoleError
 from twistlab.evaluate import (SmoothedLineEvaluator, fe_cross_check,
                                reference_zeta, smoothed_value)
 from twistlab.gammafn import _digamma_vec, _log_gamma_vec, _ratio_args
-from twistlab.model import LSeriesInstance, SmoothingParams
+from twistlab.model import LSeriesInstance, PoleData, SmoothingParams
 from twistlab.oscillatory import _panel_nodes
 from twistlab.presets import get_preset
 
@@ -85,11 +85,11 @@ def direct_corrections(ev, t, ft):
             else:
                 terms.append(pole.leading[0] * g * (_digamma_vec(w) / p + lnX)
                              + pole.leading[1] * g)
-        args, signs = _ratio_args(fe.gamma, ev._x_k[:, 0], ti)
-        applied = np.broadcast_to(ev._applied(np.array([ti])), ev._x_k.shape)[:, 0]
+        args, signs = _ratio_args(fe.gamma, ev.plan.x_k[:, 0], ti)
+        applied = np.broadcast_to(ev.plan.applied(np.array([ti])), ev.plan.x_k.shape)[:, 0]
         for k in np.flatnonzero(applied):
             log_ratio = np.sum(signs[:, 0] * _log_gamma_vec(args[:, k]))
-            terms.append(ev._const_k[k, 0] * ft[k, i]
+            terms.append(ev.plan.const_k[k, 0] * ft[k, i]
                          * np.exp(log_ratio - 2j * ti * math.log(fe.Q)))
         value[i] = sum(terms)
         scale[i] = sum(abs(term) for term in terms)
@@ -262,6 +262,23 @@ class TestSmoothedValue:
         L = get_preset("zeta")
         with pytest.raises(PoleError):
             smoothed_value(L, 1.0, 1e-8, sp4)
+
+    @pytest.mark.parametrize("location, near", [
+        (0.5 + 130j, True), (0.5 + 100.0j, True), (0.5 + 200.0j, True),
+        (0.5 + 1e-6 + 130j, False), (0.5 + 5e-7 + 130j, True),
+        (0.5 + (200.0 + 5e-7) * 1j, True), (0.5 + (200.0 + 2e-6) * 1j, False),
+        (0.5 + 99.999998j, False), (0.5 + 3e-7 + (100.0 - 3e-7) * 1j, True),
+        (0.5 + 8e-7 + (200.0 + 8e-7) * 1j, False),
+    ])
+    def test_pole_distance_to_a_segment(self, location, near):
+        # one rule for a point and a segment: distance below 1e-6 from
+        # 1/2 + i[100, 200]; a point is the segment [t, t]
+        base = get_preset("dirichlet-chi4")
+        L = dataclasses.replace(base, fe=dataclasses.replace(
+            base.fe, poles=(PoleData(location, 1),)))
+        assert (evaluate.near_pole(L, 0.5, 100.0, 200.0) == location) is near
+        assert (evaluate.near_pole(L, 0.5, location.imag, location.imag)
+                == location) is (abs(location.real - 0.5) < 1e-6)
 
     def test_gamma_pole_error(self):
         # the zeta pole term at s = 3 needs Gamma(-1)
@@ -703,7 +720,7 @@ class TestCorrectionSteps:
         # end to end: both routes exponentiate exponents up to |E| ~ 900,
         # whose own rounding (|E| 2^-53 ~ 1e-13) sets the tolerance
         ev, t = self.evaluator(case)
-        ft = np.random.default_rng(3).standard_normal((ev._x_k.shape[0], t.size)) * (1 + 1j)
+        ft = np.random.default_rng(3).standard_normal((ev.plan.x_k.shape[0], t.size)) * (1 + 1j)
         got = ev._corrections(t, ft)
         want, scale = direct_corrections(ev, t, ft)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
@@ -712,7 +729,7 @@ class TestCorrectionSteps:
         shifted = reflected = False
         for case in CORRECTION_CASES:
             ev, t = self.evaluator(case)
-            args = _ratio_args(ev.L.fe.gamma, ev._x_k, t)[0].ravel()
+            args = _ratio_args(ev.L.fe.gamma, ev.plan.x_k, t)[0].ravel()
             args = np.concatenate([args] + [(pole.location - ev.sigma - 1j * t) / ev.sp.p
                                             for pole in ev._poles])
             reduced = np.where(args.real < 0.5, 1 - args, args)

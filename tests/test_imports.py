@@ -1,7 +1,8 @@
 """Source hygiene: every imported name in the library and the tests is used,
 the library imports nothing but numpy and the standard library, every
-name the package exports has a caller outside the tests, and every private
-function or method of the library has a caller in the library."""
+name the package exports has a caller outside the tests, every private
+function or method of the library has a caller in the library, and the
+line plan's rules are read by the plan alone."""
 import ast
 import sys
 from collections import Counter
@@ -142,3 +143,60 @@ def test_every_private_def_is_referenced():
     found = [f"{module}:{line}: {name}"
              for module, line, name in unreferenced_private_defs(sources)]
     assert not found, "private definitions nothing in src/ uses: " + ", ".join(found)
+
+
+#: The rules of a smoothed line evaluation, which plan_line and LinePlan
+#: alone read, and the names of the owners they replaced.
+PLAN_RULES = {"_K_TERMS", "_MIN_T_FOR_FE_CORRECTION", "_FE_SAFE_RADIUS",
+              "_truncation_count"}
+PLAN_OWNERS = {"plan_line", "LinePlan"}
+RETIRED = {"default_cutoff", "phase_estimate"}
+
+
+def plan_rule_leaks(sources):
+    """(module, line, name) of each read or import of a PLAN_RULES name
+    outside the bodies of plan_line and LinePlan, and of each definition of
+    a RETIRED name, in `sources` (a module -> text map)."""
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        owned = {id(inner) for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and node.name in PLAN_OWNERS for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read = node.id
+            elif isinstance(node, (ast.Attribute, ast.alias)):
+                read = getattr(node, "attr", None) or node.name
+            else:
+                read = None
+            if read in PLAN_RULES and id(node) not in owned:
+                found.append((module, node.lineno, read))
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name in RETIRED):
+                found.append((module, node.lineno, node.name))
+    return found
+
+
+def test_checker_finds_plan_rule_leaks():
+    sources = {
+        "a.py": ("_K_TERMS = 2\n\n"
+                 "def plan_line():\n    return _K_TERMS\n\n"
+                 "class LinePlan:\n    def applied(self):\n"
+                 "        return _FE_SAFE_RADIUS\n\n"
+                 "def other():\n    return _K_TERMS\n\n"
+                 "class E:\n    def phase_estimate(self):\n        pass\n"),
+        "b.py": ("from .a import _truncation_count\nfrom . import a\n"
+                 "print(a._MIN_T_FOR_FE_CORRECTION)\n"),
+    }
+    assert sorted(plan_rule_leaks(sources)) == [
+        ("a.py", 11, "_K_TERMS"), ("a.py", 14, "phase_estimate"),
+        ("b.py", 1, "_truncation_count"), ("b.py", 3, "_MIN_T_FOR_FE_CORRECTION")]
+
+
+def test_plan_rules_have_one_owner():
+    package = ROOT / "src" / "twistlab"
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    found = [f"{module}:{line}: {name}"
+             for module, line, name in plan_rule_leaks(sources)]
+    assert not found, "line-plan rules read outside plan_line/LinePlan: " + ", ".join(found)

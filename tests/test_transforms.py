@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from twistlab.errors import BudgetError, ResonanceError
-from twistlab.model import LSeriesInstance, SmoothingParams
+from twistlab.errors import BudgetError, PoleError, ResonanceError
+from twistlab.model import LSeriesInstance, PoleData, SmoothingParams
 from twistlab.coefficients import PeriodicProvider, TableProvider
 from twistlab import evaluate, transforms
 from twistlab.oscillatory import integrate_oscillatory
@@ -214,6 +214,32 @@ class TestRoutes:
         v = H_direct(L, TWO_PI, 5.0, SmoothingParams())
         assert np.isfinite(abs(v))
 
+    @pytest.mark.parametrize("name, T, budget", [("zeta", 5.0, "10"),
+                                                 ("delta", 200.0, "1e9")])
+    def test_budget_refusal_builds_no_table(self, name, T, budget, monkeypatch):
+        # the plan's phase work is compared with the budget before any
+        # coefficient table exists; delta at T = 200 once built 1.1 GB of
+        # tables in 10.9 s before it was refused
+        L = get_preset(name)
+
+        def bulk(self, N):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(type(L.coefficients), "bulk", bulk)
+        monkeypatch.setenv("TWISTLAB_BUDGET", budget)
+        with pytest.raises(BudgetError, match=r"^H_direct estimated cost .* exceeds "
+                           r"budget .*; raise TWISTLAB_BUDGET \(inf lifts it\)$"):
+            H_direct(L, TWO_PI, T, SmoothingParams())
+
+    def test_pole_on_the_segment(self):
+        # K_T = [2 alpha T, 3 alpha T] = [125.7, 188.5] holds 130
+        base = get_preset("zeta")
+        fe = dataclasses.replace(base.fe, poles=base.fe.poles + (PoleData(0.5 + 130j, 1),))
+        L = dataclasses.replace(base, name="zeta-pole-130", fe=fe)
+        with pytest.raises(PoleError, match="^pole of 'zeta-pole-130' on the "
+                                            "integration segment$"):
+            H_direct(L, TWO_PI, 10.0, SmoothingParams())
+
     @pytest.mark.parametrize("value", ["abc", "nan", "0", "-1"])
     def test_budget_must_be_a_positive_number(self, value, monkeypatch):
         monkeypatch.setenv("TWISTLAB_BUDGET", value)
@@ -234,7 +260,7 @@ class TestRoutes:
         alpha = L.resonance_alpha(1)
         H_direct(L, alpha, T, SmoothingParams())
         (line,) = lines
-        estimate = line.phase_estimate(2 * alpha * T, 3 * alpha * T)
+        estimate = line.plan.phase_work(2 * alpha * T, 3 * alpha * T)
         assert 0.5 <= estimate / line.phase_evals <= 2.0
 
     @pytest.mark.parametrize("name, T", [("zeta", 50.0), ("delta", 10.0)])
