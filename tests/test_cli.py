@@ -720,6 +720,12 @@ class TestPinnedBytes:
         # row cancels the pole term to its last bits
         (["eval", "--preset", "zeta-shift-pair", "--sigma", "0.5", "--t", "1:3:5"],
          "1049be9e2c4eb6017be6af7b421e5a23258cd8cb2a057bd5575e88cb3ef0aa2e"),
+        # pole terms below |t| = 2, where no residue is applied: the
+        # order-2 pole at 1, and the order-1 pole at 3/4
+        (["eval", "--preset", "zeta-sq", "--sigma", "0.5", "--t", "1:3:5"],
+         "8fccec4e8936f09c3cdf1950cb03acca513af0bc09cc156a2dd8805c933e02ee"),
+        (["eval", "--preset", "zeta-scaled", "--sigma", "0.6", "--t", "1:3:5"],
+         "5e60f66b8406358220fc65e522bd575443a3f693e7cb6fb08c8f9e823ae3b1b5"),
         (["transform", "--preset", "zeta-shift-pair", "--m", "1", "--T-grid", "50:150:3",
           "--routes", "sum,fe"],
          "f58c53b9f303ab6047e95e12850a02f4ee1c0b359562b6975f7384660b15fc36"),
@@ -733,8 +739,16 @@ class TestPinnedBytes:
          "798629c061df247103720b559bab933e0eb01399eb426014253bfd979587d864"),
     ]
 
-    @pytest.mark.parametrize("argv, digest", PINNED,
-                             ids=[f"{a[0]}-{a[2]}" for a, _ in PINNED])
+    @staticmethod
+    def ids(rows):
+        """command-preset, with the t grid appended when that is taken."""
+        out = []
+        for argv, _ in rows:
+            name = f"{argv[0]}-{argv[2]}"
+            out.append(name if name not in out else f"{name}-t{argv[argv.index('--t') + 1]}")
+        return out
+
+    @pytest.mark.parametrize("argv, digest", PINNED, ids=ids(PINNED))
     def test_bytes_match_the_recorded_digest(self, argv, digest, tmp_path):
         if np.__version__.split(".")[:2] != ["2", "4"]:
             pytest.skip(f"digests recorded under numpy 2.4, not {np.__version__}")
