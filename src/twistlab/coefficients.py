@@ -17,6 +17,7 @@ may return a read-only view of a table it keeps.
 """
 from __future__ import annotations
 
+import abc
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
@@ -30,8 +31,11 @@ from .exactconv import chunks_to_float, chunks_to_ints, conv_chunks, conv_exact
 MAX_BULK = 10 ** 7
 
 
-def _real_if_real(values: np.ndarray) -> np.ndarray:
-    """values as float64 when every imaginary part is +0, else unchanged."""
+def _finite_table(values, what: str) -> np.ndarray:
+    """values as float64 when every imaginary part is +0, else complex; all finite."""
+    values = np.asarray(values, dtype=complex)
+    if (bad := np.flatnonzero(~np.isfinite(values))).size:
+        raise ValueError(f"{what} entry [{bad[0]}] must be finite, got {values[bad[0]]}")
     if values.imag.any() or np.signbit(values.imag).any():
         return values
     return values.real.copy()
@@ -60,7 +64,7 @@ class CoefficientTable:
         return len(self.values)
 
 
-class CoefficientProvider:
+class CoefficientProvider(abc.ABC):
     """Base class: subclasses generate a_1..a_N in bulk(N), and
     coefficient(n) reads a_n from that table."""
 
@@ -72,8 +76,9 @@ class CoefficientProvider:
             raise ValueError("n must be >= 1")
         return complex(self.bulk(n).values[n - 1])
 
+    @abc.abstractmethod
     def bulk(self, N: int) -> CoefficientTable:
-        raise NotImplementedError
+        """The table a_1..a_N."""
 
 
 class OnesProvider(CoefficientProvider):
@@ -91,8 +96,8 @@ class PeriodicProvider(CoefficientProvider):
 
     def __init__(self, pattern: Sequence[complex]):
         self.pattern = tuple(complex(v) for v in pattern)
+        self._period = _finite_table(self.pattern, "periodic pattern")
         self.mag_bound = (max(abs(v) for v in self.pattern) or 1.0, 0.0)
-        self._period = _real_if_real(np.asarray(self.pattern, dtype=complex))
 
     def bulk(self, N: int) -> CoefficientTable:
         N = _guard_bulk(N)
@@ -104,7 +109,7 @@ class TableProvider(CoefficientProvider):
     """Coefficients from an explicit finite table; zero beyond it."""
 
     def __init__(self, values: Sequence[complex]):
-        self._values = _real_if_real(np.asarray(list(values), dtype=complex))
+        self._values = _finite_table(list(values), "coefficient table")
         peak = float(np.max(np.abs(self._values), initial=0.0))
         self.mag_bound = (peak or 1.0, 0.0)
 

@@ -5,10 +5,10 @@ The smoothed series sum_{n<=N*} a_n e^{-(n/X)^p} n^{-s} converges everywhere;
 what it computes differs from F(s) by (i) one term per declared pole of F and
 (ii) a rapidly decreasing series of contour residues carrying powers X^{-kp}.
 SmoothedLineEvaluator is the one implementation of the series and of both
-corrections, for any abscissa sigma and many t at once: it removes the pole
-terms (from the declared Laurent data) and the k = 1, 2 residues (through the
-functional equation).  smoothed_value is its one-point case.  plan_line
-makes every choice they carry out, before any coefficient table exists.
+corrections, for any abscissa sigma and many t at once: it removes every
+declared pole's term (from its Laurent data, orders 1 and 2) and the k = 1, 2
+residues (through the functional equation).  smoothed_value is its one-point
+case.  plan_line makes every choice they carry out, before any table exists.
 
 `tail_bound` certifies only the truncation of each series.  It does not
 cover the contour remainder past k = 2, which can be far larger: at
@@ -55,7 +55,7 @@ from .errors import BudgetError, PoleError
 from .gammafn import (_check_poles, _digamma_vec, _log_gamma_vec, _ratio_args,
                       gamma_ratio_exact_grid)
 from .gammafn import log_gamma  # unused here; the benchmark tracer wraps it
-from .model import LSeriesInstance, SmoothingParams
+from .model import LSeriesInstance, PoleData, SmoothingParams
 from .summation import compensated_sum  # unused here; the benchmark tracer wraps it
 
 _POLE_RADIUS = 1e-6
@@ -134,9 +134,9 @@ def _truncation_count(K: float, c: float, x: float, X: float, p: float,
 @dataclass(frozen=True, eq=False)
 class LinePlan:
     """Every choice of a smoothed evaluation on sigma + it, made by plan_line
-    before any table exists: X, (abscissa, length) of the main series (`terms`
-    long) and of each residue series, the residue columns x_k = sigma - kp
-    and const_k = (-1)^k X^{-kp}/k! omega Q^{1-2x_k}, `width` and `tail`."""
+    before any table exists: X, (abscissa, length) of each series (the main
+    one `terms` long), residue columns x_k = sigma - kp and const_k = (-1)^k
+    X^{-kp}/k! omega Q^{1-2x_k}, `width`, `tail` and `poles` (order <= 2)."""
 
     X: float
     terms: int
@@ -144,7 +144,7 @@ class LinePlan:
     series: Tuple[Tuple[float, int], ...]
     x_k: np.ndarray
     const_k: np.ndarray
-    poles: Tuple[complex, ...]
+    poles: Tuple[PoleData, ...]
     width: int
     lam: float
     spacing: float
@@ -162,7 +162,7 @@ class LinePlan:
         reflected = 1.0 - self.x_k - 1j * t
         applied = np.abs(t) >= _MIN_T_FOR_FE_CORRECTION
         for pole in self.poles:
-            applied = applied & (np.abs(reflected - np.conj(pole)) >= _FE_SAFE_RADIUS)
+            applied = applied & (np.abs(reflected - np.conj(pole.location)) >= _FE_SAFE_RADIUS)
         return applied
 
 
@@ -175,12 +175,18 @@ def plan_line(L: LSeriesInstance, sp: SmoothingParams, sigma: float,
     X^{-kp}/k! >= 1e-300, to the accuracy eps_k that matters at that weight."""
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got sigma={sigma!r}")
+    if any(pole.order > 2 for pole in L.fe.poles):
+        raise ValueError(f"line evaluations remove the terms of poles of order 1 and 2 "
+                         f"only; {L.name!r} declares a pole of higher order")
     if T is not None:
         X = sp.cutoff(T, L.invariants().d)
     elif sp.X is not None:
         X = sp.X
     elif t is not None:
-        X = max(1e3, 10.0 * (abs(t) / (2.0 * math.pi)) ** L.invariants().d)
+        try:
+            X = max(1e3, 10.0 * (abs(float(t)) / (2.0 * math.pi)) ** L.invariants().d)
+        except OverflowError:
+            raise ValueError(f"one-t cutoff 10 (|t|/2pi)^d overflows at t = {t}") from None
     else:
         raise ValueError("line evaluator needs an explicit X")
     X, p, fe = float(X), sp.p, L.fe
@@ -206,7 +212,7 @@ def plan_line(L: LSeriesInstance, sp: SmoothingParams, sigma: float,
     spacing = math.ldexp(math.floor(mantissa * 256.0) / 256.0, exponent)
     return LinePlan(X, terms, tail, tuple(series), np.array(x_k)[:, None],
                     np.array(const_k, dtype=complex)[:, None],
-                    tuple(pole.location for pole in fe.poles), width, lam, spacing)
+                    fe.poles, width, lam, spacing)
 
 
 def _chebyshev_order(r: float) -> int:
@@ -426,8 +432,8 @@ class SmoothedLineEvaluator:
     caller's t or T) and decides nothing: the plan fixes X, the series
     lengths (`terms` for the main one), `tail`, and which contour residues
     (-1)^k/k! F(s - kp) X^{-kp} are removed, each through the functional
-    equation from the conjugated series at 1 - s + kp, and where.  Every
-    declared pole term is removed too.  The constructor builds the tables.
+    equation from the conjugated series at 1 - s + kp, and where, and the
+    pole terms, one per `plan.poles`.  The constructor builds the tables.
 
     `values` sums a single t directly and several t by Chebyshev blocks:
     centres at the multiples of the plan's `spacing`, so that
@@ -449,15 +455,10 @@ class SmoothedLineEvaluator:
         self.L, self.sp, self.sigma, self.X = L, sp, sigma, plan.X
         self.terms, self.tail, self.width, self.spacing = (
             plan.terms, plan.tail, plan.width, plan.spacing)
-        self._poles = [pole for pole in L.fe.poles if pole.leading]
-        if any(pole.order > 2 for pole in self._poles):
-            raise NotImplementedError("pole corrections cover orders 1 and 2")
         table = L.coefficients.bulk(plan.width).values
         n = np.arange(1, plan.width + 1, dtype=np.float64)
         self._lnn = np.log(n)
         self.phase_evals = 0
-        self._pole_locations = np.array(
-            [pole.location for pole in self._poles], dtype=complex)[:, None]
         damp = (n / plan.X) ** sp.p
         # Residue series are kept with unconjugated coefficients: the series
         # sum conj(a_n) w_n n^{-(1-x)+it} is the conjugate of
@@ -607,8 +608,9 @@ class SmoothedLineEvaluator:
         its own, so a t's corrections do not depend on the t computed with
         it.  A residue that is not applied at a t takes the placeholder
         argument 1."""
-        p, lnX, fe = self.sp.p, math.log(self.X), self.L.fe
-        w0 = self._pole_locations - (self.sigma + 1j * t)
+        p, lnX, fe, poles = self.sp.p, math.log(self.X), self.L.fe, self.plan.poles
+        w0 = np.array([pole.location for pole in poles], dtype=complex)[:, None] - (
+            self.sigma + 1j * t)
         w = w0 / p
         applied = self.plan.applied(t)
         ratio_args, signs = _ratio_args(fe.gamma, self.plan.x_k, t)
@@ -617,7 +619,7 @@ class SmoothedLineEvaluator:
         _check_poles(ratio_args)
         g = np.exp(_log_gamma_vec(w) + w0 * lnX) / p
         corr = np.zeros(t.shape, dtype=complex)
-        for pole, wj, gj in zip(self._poles, w, g):
+        for pole, wj, gj in zip(poles, w, g):
             if pole.order == 1:
                 corr += pole.leading[0] * gj
             else:

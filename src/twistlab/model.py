@@ -12,7 +12,9 @@ freely between workers.
 """
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -58,30 +60,27 @@ class GammaFactorSpec:
 
 @dataclass(frozen=True)
 class PoleData:
-    """A declared pole of F(s).
-
-    `leading` optionally holds the leading Laurent coefficients
-    (c_{-order}, ..., c_{-1}); when present, evaluators can correct the
-    smoothed sum for the pole exactly.  Without it the pole is only used
-    for proximity checks.
-    """
+    """A declared pole of F(s): its location, its order (an integer >= 1)
+    and its leading Laurent coefficients (c_{-order}, ..., c_{-1}), exactly
+    `order` of them, from which the smoothed evaluator removes the pole's
+    term.  The line plan (evaluate.plan_line) refuses an order above 2."""
 
     location: complex
     order: int
-    leading: Tuple[complex, ...] = ()
+    leading: Tuple[complex, ...]
 
     def __post_init__(self):
         loc = complex(self.location)
         if not _finite(loc):
             raise ValueError(f"pole location must be finite, got {loc}")
         object.__setattr__(self, "location", loc)
-        if int(self.order) < 1:
-            raise ValueError("pole order must be a positive integer")
-        object.__setattr__(self, "order", int(self.order))
+        order = self.order
+        if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 1:
+            raise ValueError(f"pole order must be an integer >= 1, got {order!r}")
         lead = tuple(complex(c) for c in self.leading)
         if not all(_finite(c) for c in lead):
             raise ValueError(f"pole leading Laurent data must be finite, got {lead}")
-        if lead and len(lead) != self.order:
+        if len(lead) != self.order:
             raise ValueError("leading Laurent data must have `order` entries")
         object.__setattr__(self, "leading", lead)
 
@@ -221,6 +220,7 @@ def _assert_real(value: complex, what: str) -> float:
     return value.real
 
 
+@functools.lru_cache(maxsize=256)  # a spec is frozen and hashable
 def stirling_constants(spec: GammaFactorSpec) -> DerivedInvariants:
     """Constants (d, A, B, C) of the gamma-ratio asymptotic
 

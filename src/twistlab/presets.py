@@ -3,8 +3,7 @@ for custom instances.
 
 Each preset ships one canonical gamma-factor spec; "zeta-doubled" is a
 second, duplication-equivalent spec for zeta kept as the degree-invariance
-fixture.  Pole entries carry leading Laurent coefficients so the smoothed
-evaluator can correct for them exactly.
+fixture.
 """
 from __future__ import annotations
 
@@ -161,7 +160,7 @@ def instance_from_config(cfg: dict) -> LSeriesInstance:
 
     Required fields: name, lambda[], mu[] (re/im pairs), lambda_prime[],
     mu_prime[], Q, omega (re/im pair), sigma_a, coefficients.  Optional:
-    poles = [{location: [re, im], order: k, leading: [[re, im], ...]}].
+    poles = [{location: [re, im], order: k, leading: k [re, im] pairs}].
     """
     gamma = GammaFactorSpec(
         numerator=_pairs_from_config(cfg["lambda"], cfg["mu"]),
@@ -169,8 +168,8 @@ def instance_from_config(cfg: dict) -> LSeriesInstance:
                                        cfg.get("mu_prime", [])),
     )
     poles = tuple(
-        PoleData(complex(p["location"][0], p["location"][1]), int(p["order"]),
-                 tuple(complex(re, im) for re, im in p.get("leading", [])))
+        PoleData(complex(p["location"][0], p["location"][1]), p["order"],
+                 tuple(complex(re, im) for re, im in p["leading"]))
         for p in cfg.get("poles", []))
     fe = FunctionalEquationData(
         Q=float(cfg["Q"]),

@@ -324,7 +324,8 @@ class TestExitCodes:
     def test_pole_on_the_transform_segment(self, capsys, tmp_path):
         # zeta with one more pole, at 1/2 + 130i inside K_T = [125.7, 188.5]
         config = dict(PRESET_CONFIGS["zeta"], name="zeta-pole-130")
-        config["poles"] = config["poles"] + [{"location": [0.5, 130.0], "order": 1}]
+        config["poles"] = config["poles"] + [{"location": [0.5, 130.0], "order": 1,
+                                             "leading": [[1.0, 0.0]]}]
         path = tmp_path / "pole.json"
         path.write_text(json.dumps(config))
         code, out, err = run(capsys, "transform", "--config", str(path), "--m", "1",
@@ -333,6 +334,57 @@ class TestExitCodes:
         assert out == ""
         assert err == ("computation error: pole of 'zeta-pole-130' on the "
                        "integration segment\n")
+
+    #: zeta's order-1 pole as an order-3 one, Laurent data included
+    ORDER_3 = [{"location": [1.0, 0.0], "order": 3,
+                "leading": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}]
+    #: a table whose 21st value (entry [20]) is NaN, and a NaN pattern
+    TABLE_NAN = {"kind": "table",
+                 "values": [[1.0, 0.0]] * 20 + [[math.nan, 0.0]] + [[1.0, 0.0]] * 9}
+
+    # each of these refusals was once a traceback (order 3 on a line
+    # evaluation, eval at t = 1e200) or a wrong result with exit 0 (a pole
+    # without Laurent data, order 1.9 read as 1, NaN sums and slopes); eval
+    # on the NaN table blamed the 1e7 table cap
+    @pytest.mark.parametrize("argv, fields, code, message", [
+        (["eval", "--sigma", "0.5", "--t", "5"],
+         {"poles": [{"location": [1.0, 0.0], "order": 1}]}, 1, "'leading'"),
+        (["eval", "--sigma", "0.5", "--t", "5"], {"poles": ORDER_3}, 1,
+         "poles of order 1 and 2 only"),
+        (["transform", "--m", "1", "--T-grid", "10", "--routes", "direct"],
+         {"poles": ORDER_3}, 1, "poles of order 1 and 2 only"),
+        (["describe"], {"poles": [{"location": [1.0, 0.0], "order": 1.9,
+                                   "leading": [[1.0, 0.0]]}]}, 1,
+         "pole order must be an integer >= 1, got 1.9"),
+        (["summatory", "--X-grid", "2^2:2^6"], {"coefficients": TABLE_NAN}, 1,
+         "coefficient table entry [20] must be finite"),
+        (["eval", "--sigma", "0.5", "--t", "30", "--X", "1000"],
+         {"coefficients": TABLE_NAN}, 1, "coefficient table entry [20] must be finite"),
+        (["twist-scan", "--T-grid", "2^5:2^8"],
+         {"coefficients": {"kind": "periodic", "pattern": [[1.0, 0.0], [math.nan, 0.0]]}},
+         1, "periodic pattern entry [1] must be finite"),
+        (["eval", "--preset", "zeta-sq", "--sigma", "0.5", "--t", "1e200"], None, 1,
+         "one-t cutoff 10 (|t|/2pi)^d overflows at t = 1e+200"),
+        # the twist reads no pole term: any order is fine there
+        (["twist-scan", "--T-grid", "2^5:2^8"], {"poles": ORDER_3}, 0, None),
+    ], ids=["pole-without-leading", "eval-order-3", "transform-order-3",
+            "order-1.9", "summatory-table-nan", "eval-table-nan",
+            "twist-periodic-nan", "eval-t-1e200", "twist-order-3"])
+    def test_refusals_are_one_usage_error_line(self, capsys, tmp_path, argv, fields,
+                                              code, message):
+        if fields is not None:
+            path = tmp_path / "variant.json"
+            path.write_text(json.dumps(dict(PRESET_CONFIGS["zeta"], name="variant",
+                                            **fields)))
+            argv = argv + ["--config", str(path)]
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        if code == 0:
+            assert out and err == ""
+            return
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_budget_exit(self, capsys, monkeypatch):
         monkeypatch.setenv("TWISTLAB_BUDGET", "10")
@@ -474,6 +526,15 @@ class TestCustomConfig:
         assert got.fe == want.fe
         assert got.sigma_a == want.sigma_a
         assert got.coefficients is want.coefficients
+
+    @pytest.mark.parametrize("pole, error", [
+        ({"location": [1.0, 0.0], "order": 1.9, "leading": [[1.0, 0.0]]}, ValueError),
+        ({"location": [1.0, 0.0], "order": 1}, KeyError),
+    ], ids=["order-1.9", "no-leading"])
+    def test_loader_takes_poles_as_declared(self, pole, error):
+        # the order is passed through unconverted, and Laurent data is required
+        with pytest.raises(error):
+            instance_from_config(dict(PRESET_CONFIGS["zeta"], poles=[pole]))
 
     def test_custom_example_loads(self):
         L = load_instance(str(CONFIGS / "custom-example.json"))

@@ -575,6 +575,17 @@ class TestPeriodicAndTable:
         prov = PeriodicProvider((2.0, -1.0))
         assert np.array_equal(prov.bulk(5).values.real, [2, -1, 2, -1, 2])
 
+    # JSON readers give NaN and Infinity; a NaN table once printed nan sums
+    # with exit 0, and its NaN magnitude bound blamed the table cap
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_values_are_refused_by_index(self, bad):
+        with pytest.raises(ValueError, match=r"^coefficient table entry \[2\] must be "
+                                             r"finite, got "):
+            TableProvider([1.0, 2.0, bad, 4.0])
+        with pytest.raises(ValueError, match=r"^periodic pattern entry \[1\] must be "
+                                             r"finite, got "):
+            PeriodicProvider((1.0, bad))
+
     def test_table_is_zero_beyond(self):
         prov = TableProvider([3.0, 4.0])
         assert prov.coefficient(2) == 4.0

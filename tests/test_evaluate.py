@@ -77,7 +77,7 @@ def direct_corrections(ev, t, ft):
     for i, ti in enumerate(t):
         s = ev.sigma + 1j * ti
         terms = []
-        for pole in ev._poles:
+        for pole in ev.plan.poles:
             w = (pole.location - s) / p
             g = np.exp(_log_gamma_vec(w) + p * w * lnX) / p
             if pole.order == 1:
@@ -275,10 +275,29 @@ class TestSmoothedValue:
         # 1/2 + i[100, 200]; a point is the segment [t, t]
         base = get_preset("dirichlet-chi4")
         L = dataclasses.replace(base, fe=dataclasses.replace(
-            base.fe, poles=(PoleData(location, 1),)))
+            base.fe, poles=(PoleData(location, 1, (1.0,)),)))
         assert (evaluate.near_pole(L, 0.5, 100.0, 200.0) == location) is near
         assert (evaluate.near_pole(L, 0.5, location.imag, location.imag)
                 == location) is (abs(location.real - 0.5) < 1e-6)
+
+    def test_order_above_2_is_refused_by_the_plan(self, monkeypatch):
+        # before any table exists, so the evaluator keeps no rule of its own
+        base = get_preset("zeta")
+        L = dataclasses.replace(base, fe=dataclasses.replace(
+            base.fe, poles=(PoleData(1.0, 3, (1.0, 0.0, 0.0)),)))
+
+        def bulk(self, N):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(type(L.coefficients), "bulk", bulk)
+        with pytest.raises(ValueError, match="^line evaluations remove the terms of "
+                                             "poles of order 1 and 2 only; "):
+            SmoothedLineEvaluator(L, SmoothingParams(), t=5.0)
+
+    def test_one_t_cutoff_overflow_is_refused(self):
+        # 10 (|t|/2pi)^d once raised a bare OverflowError
+        with pytest.raises(ValueError, match=r"^one-t cutoff .* overflows at t = 1e\+200$"):
+            evaluate.plan_line(get_preset("zeta-sq"), SmoothingParams(), 0.5, t=1e200)
 
     def test_gamma_pole_error(self):
         # the zeta pole term at s = 3 needs Gamma(-1)
@@ -731,7 +750,7 @@ class TestCorrectionSteps:
             ev, t = self.evaluator(case)
             args = _ratio_args(ev.L.fe.gamma, ev.plan.x_k, t)[0].ravel()
             args = np.concatenate([args] + [(pole.location - ev.sigma - 1j * t) / ev.sp.p
-                                            for pole in ev._poles])
+                                            for pole in ev.plan.poles])
             reduced = np.where(args.real < 0.5, 1 - args, args)
             shifted |= bool(np.any(np.abs(reduced) < 16))
             reflected |= bool(np.any(args.real < 0.5))

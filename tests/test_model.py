@@ -57,6 +57,13 @@ class TestStirlingConstants:
             assert inv.C > 0.0
             assert isinstance(inv.A, float) and isinstance(inv.B, float)
 
+    def test_invariants_computed_once_per_spec(self):
+        # a spec is frozen and hashable: the constants are computed once,
+        # with the bits of a fresh computation
+        L = get_preset("zeta-shift-pair")
+        assert L.invariants() is L.invariants() is stirling_constants(L.fe.gamma)
+        assert L.invariants() == stirling_constants.__wrapped__(L.fe.gamma)
+
     def test_delta_constants(self):
         inv = get_preset("delta").invariants()
         assert inv.d == 2.0
@@ -132,9 +139,22 @@ class TestValidation:
 
     def test_pole_order(self):
         with pytest.raises(ValueError):
-            PoleData(1.0, 0)
+            PoleData(1.0, 0, ())
         with pytest.raises(ValueError):
             PoleData(1.0, 2, (1.0,))  # wrong Laurent length
+
+    def test_laurent_data_is_required(self):
+        # a pole without it was once only a proximity check, and its term
+        # stayed in the smoothed value with exit 0
+        with pytest.raises(TypeError):
+            PoleData(1.0, 1)
+
+    # "order": 1.9 was once read as order 1
+    @pytest.mark.parametrize("order", [1.9, 1.0, True, "1", None],
+                             ids=["1.9", "float-1", "bool", "str", "None"])
+    def test_pole_order_is_an_integer(self, order):
+        with pytest.raises(ValueError, match="^pole order must be an integer >= 1, got "):
+            PoleData(1.0, order, (1.0,))
 
     def test_smoothing_params(self):
         for p in (0.5, math.nan, math.inf):

@@ -231,10 +231,28 @@ class TestRoutes:
                            r"budget .*; raise TWISTLAB_BUDGET \(inf lifts it\)$"):
             H_direct(L, TWO_PI, T, SmoothingParams())
 
+    @pytest.mark.parametrize("budget", ["1e9", "10"])
+    def test_order_above_2_is_refused_by_the_plan(self, budget, monkeypatch):
+        # refused by plan_line before any table, and before the segment-pole
+        # and budget checks: the pole at 1/2 + 130i is on K_T
+        base = get_preset("zeta")
+        fe = dataclasses.replace(base.fe, poles=(PoleData(1.0, 3, (1.0, 0.0, 0.0)),
+                                                 PoleData(0.5 + 130j, 1, (1.0,))))
+        L = dataclasses.replace(base, fe=fe)
+
+        def bulk(self, N):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(type(L.coefficients), "bulk", bulk)
+        monkeypatch.setenv("TWISTLAB_BUDGET", budget)
+        with pytest.raises(ValueError, match="poles of order 1 and 2 only"):
+            H_direct(L, TWO_PI, 10.0, SmoothingParams())
+
     def test_pole_on_the_segment(self):
         # K_T = [2 alpha T, 3 alpha T] = [125.7, 188.5] holds 130
         base = get_preset("zeta")
-        fe = dataclasses.replace(base.fe, poles=base.fe.poles + (PoleData(0.5 + 130j, 1),))
+        fe = dataclasses.replace(base.fe, poles=base.fe.poles
+                                 + (PoleData(0.5 + 130j, 1, (1.0,)),))
         L = dataclasses.replace(base, name="zeta-pole-130", fe=fe)
         with pytest.raises(PoleError, match="^pole of 'zeta-pole-130' on the "
                                             "integration segment$"):
