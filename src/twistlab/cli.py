@@ -155,13 +155,10 @@ def _load(args) -> LSeriesInstance:
     if getattr(args, "config", None):
         try:
             return load_instance(args.config)
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise UsageError(f"bad config {args.config!r}: {exc}")
     if getattr(args, "preset", None):
-        try:
-            return get_preset(args.preset)
-        except KeyError as exc:
-            raise UsageError(str(exc.args[0]))
+        return get_preset(args.preset)
     raise UsageError("one of --preset or --config is required")
 
 

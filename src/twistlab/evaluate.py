@@ -59,6 +59,7 @@ from .model import LSeriesInstance, PoleData, SmoothingParams
 from .summation import compensated_sum  # unused here; the benchmark tracer wraps it
 
 _POLE_RADIUS = 1e-6
+Span = Tuple[float, float]  # (t_lo, t_hi) of a line evaluation; a point t is (t, t)
 _FE_SAFE_RADIUS = 0.25
 _K_TERMS = 2
 _MIN_T_FOR_FE_CORRECTION = 2.0
@@ -136,7 +137,7 @@ class LinePlan:
     """Every choice of a smoothed evaluation on sigma + it, made by plan_line
     before any table exists: X, (abscissa, length) of each series (the main
     one `terms` long), residue columns x_k = sigma - kp and const_k = (-1)^k
-    X^{-kp}/k! omega Q^{1-2x_k}, `width`, `tail` and `poles` (order <= 2)."""
+    X^{-kp}/k! omega Q^{1-2x_k}, `width`, `tail`, `poles` (order <= 2), `span`."""
 
     X: float
     terms: int
@@ -148,12 +149,13 @@ class LinePlan:
     width: int
     lam: float
     spacing: float
+    span: Optional[Span]
 
-    def phase_work(self, a: float, b: float) -> float:
+    def phase_work(self) -> float:
         """Phase entries (SmoothedLineEvaluator.phase_evals) formed on nodes
-        covering [a, b]: `width` per centre (`spacing` apart), per anchor row
+        covering the span: `width` per centre (`spacing` apart), per anchor row
         (one per _BLOCK centres) and per offset-block row, each formed once."""
-        centres = (b - a) / self.spacing + 1.0
+        centres = (self.span[1] - self.span[0]) / self.spacing + 1.0
         return self.width * (centres + centres / _BLOCK + 1.0 + _BLOCK)
 
     def applied(self, t: np.ndarray) -> np.ndarray:
@@ -167,12 +169,13 @@ class LinePlan:
 
 
 def plan_line(L: LSeriesInstance, sp: SmoothingParams, sigma: float,
-              t: Optional[float] = None, T: Optional[float] = None) -> LinePlan:
-    """The plan of a smoothed evaluation of L on sigma + it.  X is
-    sp.cutoff(T, d) given a scale T, else sp.X, else max(1e3, 10 (|t|/2pi)^d)
-    given one t.  Each series ends at the smallest N whose certified tail is
-    below its eps (_truncation_count); residue k <= _K_TERMS is taken while
-    X^{-kp}/k! >= 1e-300, to the accuracy eps_k that matters at that weight."""
+              span: Optional[Span] = None, T: Optional[float] = None) -> LinePlan:
+    """The plan of a smoothed evaluation of L on sigma + i span.  X is sp.cutoff(T, d)
+    given a scale T, else sp.X, else max(1e3, 10 (|t|/2pi)^d) at the span's largest
+    |t|.  Each series ends at the smallest N whose certified tail is below its eps
+    (_truncation_count); residue k <= _K_TERMS is taken while X^{-kp}/k! >= 1e-300,
+    to the accuracy eps_k that matters at that weight.  A span that is not finite is
+    refused and, after every other check, a declared pole within _POLE_RADIUS of it."""
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got sigma={sigma!r}")
     if any(pole.order > 2 for pole in L.fe.poles):
@@ -182,13 +185,15 @@ def plan_line(L: LSeriesInstance, sp: SmoothingParams, sigma: float,
         X = sp.cutoff(T, L.invariants().d)
     elif sp.X is not None:
         X = sp.X
-    elif t is not None:
+    elif span is not None:
+        t = max(span, key=abs)
         try:
             X = max(1e3, 10.0 * (abs(float(t)) / (2.0 * math.pi)) ** L.invariants().d)
         except OverflowError:
             raise ValueError(f"one-t cutoff 10 (|t|/2pi)^d overflows at t = {t}") from None
     else:
         raise ValueError("line evaluator needs an explicit X")
+    _check_finite_t(span or ())  # after T's own check; the one-t rule takes nan and inf
     X, p, fe = float(X), sp.p, L.fe
     K, c = L.coefficients.mag_bound
     terms, tail = _truncation_count(K, c, sigma, X, p, sp.epsilon)
@@ -204,6 +209,11 @@ def plan_line(L: LSeriesInstance, sp: SmoothingParams, sigma: float,
         series.append((1.0 - x, N_k))
         x_k.append(x)
         const_k.append((-1) ** k * weight * fe.omega * fe.Q ** (1.0 - 2.0 * x))
+    pole = near_pole(L, sigma, *span) if span else None
+    if pole is not None:
+        raise PoleError((f"evaluation point {sigma + 1j * span[0]} within {_POLE_RADIUS} "
+                         f"of pole at {pole}") if span[0] == span[1] else
+                        f"pole of {L.name!r} on the integration segment")
     width = max(N for _, N in series)
     # lambda centres ln n - lambda on [0, ln width]; an 8-bit spacing keeps
     # j spacing, (j - r) spacing and r spacing exact (_phase_products)
@@ -212,7 +222,7 @@ def plan_line(L: LSeriesInstance, sp: SmoothingParams, sigma: float,
     spacing = math.ldexp(math.floor(mantissa * 256.0) / 256.0, exponent)
     return LinePlan(X, terms, tail, tuple(series), np.array(x_k)[:, None],
                     np.array(const_k, dtype=complex)[:, None],
-                    fe.poles, width, lam, spacing)
+                    fe.poles, width, lam, spacing, span)
 
 
 def _chebyshev_order(r: float) -> int:
@@ -288,19 +298,14 @@ def near_pole(L: LSeriesInstance, sigma: float, a: float, b: float) -> Optional[
             return z
 
 
-def smoothed_value(L: LSeriesInstance, z: complex, t: float,
+def smoothed_value(L: LSeriesInstance, sigma: float, t: float,
                    sp: SmoothingParams) -> SmoothedEvaluation:
-    """Smoothed evaluation of F(z + it): the one-point case of
-    SmoothedLineEvaluator at sigma = Re(z + it), planned for this t.
+    """Smoothed evaluation of F(sigma + it): the one-point case of
+    SmoothedLineEvaluator, planned (and refused, see plan_line) for (t, t).
     Declared pole terms and the leading contour residues are removed, so the
     value approximates F itself rather than the bare smoothed object."""
-    _check_finite_t(t)
-    s = complex(z) + 1j * t
-    pole = near_pole(L, s.real, s.imag, s.imag)
-    if pole is not None:
-        raise PoleError(f"evaluation point {s} within {_POLE_RADIUS} of pole at {pole}")
-    line = SmoothedLineEvaluator(L, sp, sigma=s.real, t=t)
-    value = complex(line.values(np.array([s.imag]))[0])
+    line = SmoothedLineEvaluator(L, sp, sigma, span=(t, t))
+    value = complex(line.values(np.array([t]))[0])
     return SmoothedEvaluation(value=value, terms_used=line.terms,
                               tail_bound=line.tail)
 
@@ -429,7 +434,7 @@ class SmoothedLineEvaluator:
     precomputed tables.
 
     The evaluator carries out `plan` (plan_line, from sp, sigma and the
-    caller's t or T) and decides nothing: the plan fixes X, the series
+    caller's span or T) and decides nothing: the plan fixes X, the series
     lengths (`terms` for the main one), `tail`, and which contour residues
     (-1)^k/k! F(s - kp) X^{-kp} are removed, each through the functional
     equation from the conjugated series at 1 - s + kp, and where, and the
@@ -445,13 +450,13 @@ class SmoothedLineEvaluator:
     exponential at each prime n, one product at each composite, or one
     anchor-times-offset product): `width` per single t summed, per centre
     formed and per anchor row, and `_BLOCK * width` for the offset block;
-    the plan's `phase_work` predicts it for nodes that cover an interval.
+    the plan's `phase_work` predicts it for nodes that cover its span.
     """
 
     def __init__(self, L: LSeriesInstance, sp: SmoothingParams,
-                 sigma: float = 0.5, *, t: Optional[float] = None,
+                 sigma: float = 0.5, *, span: Optional[Span] = None,
                  T: Optional[float] = None):
-        self.plan = plan = plan_line(L, sp, sigma, t, T)
+        self.plan = plan = plan_line(L, sp, sigma, span, T)
         self.L, self.sp, self.sigma, self.X = L, sp, sigma, plan.X
         self.terms, self.tail, self.width, self.spacing = (
             plan.terms, plan.tail, plan.width, plan.spacing)

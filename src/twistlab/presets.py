@@ -21,8 +21,6 @@ from .model import (FunctionalEquationData, GammaFactorSpec, LSeriesInstance,
 EULER_GAMMA = 0.5772156649015328606
 ZETA2 = math.pi ** 2 / 6.0
 
-_tau_provider = RamanujanTauProvider()  # shared: the exact table is expensive
-
 
 def _zeta() -> LSeriesInstance:
     fe = FunctionalEquationData(
@@ -107,7 +105,7 @@ def _delta() -> LSeriesInstance:
         gamma=GammaFactorSpec(numerator=((1.0, 5.5),)),
         poles=(),
     )
-    return LSeriesInstance("delta", _tau_provider, fe, sigma_a=1.0)
+    return LSeriesInstance("delta", RamanujanTauProvider(), fe, sigma_a=1.0)
 
 
 _FACTORIES = {
@@ -136,49 +134,74 @@ def get_preset(name: str) -> LSeriesInstance:
 # JSON config format for custom instances
 # ---------------------------------------------------------------------------
 
-def _pairs_from_config(lams, mus):
-    if len(lams) != len(mus):
-        raise ValueError("lambda[] and mu[] lengths differ")
-    return tuple((float(l), complex(m[0], m[1])) for l, m in zip(lams, mus))
+def _field(obj, key, path: str, shape: str, ok):
+    """(obj[key], its path; "" at the top), refused if missing or not ok(obj[key])."""
+    where = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}" if path else key
+    if isinstance(obj, dict) and key not in obj:
+        raise ValueError(f"{path or 'config'}: missing field {key!r}")
+    value = obj[key]
+    if not ok(value):
+        got = (f"a list of {len(value)}" if isinstance(value, list) else
+               "an object" if isinstance(value, dict) else json.dumps(value))
+        raise ValueError(f"{where}: expected {shape}, got {got}")
+    return value, where
 
 
-def _coefficients_from_config(cfg) -> CoefficientProvider:
-    kind = cfg.get("kind")
+def _number(obj, key, path: str = ""):
+    return _field(obj, key, path, "a number", lambda v: type(v) in (int, float))[0]
+
+
+def _pair(obj, key, path: str = "") -> complex:
+    pair, where = _field(obj, key, path, "an [re, im] pair",
+                         lambda v: isinstance(v, list) and len(v) == 2)
+    return complex(_number(pair, 0, where), _number(pair, 1, where))
+
+
+def _list(obj, key, path: str = "", item=_number, least: int = 0) -> list:
+    items, where = _field(obj, key, path, "a non-empty list" if least else "a list",
+                          lambda v: isinstance(v, list) and len(v) >= least)
+    return [item(items, i, where) for i in range(len(items))]
+
+
+def _object(obj, key, path: str = ""):
+    return _field(obj, key, path, "an object", lambda v: isinstance(v, dict))
+
+
+def _coefficients_from_config(cfg: dict) -> CoefficientProvider:
+    source, path = _object(cfg, "coefficients")
+    kind = source.get("kind")
     if kind == "preset":
-        return get_preset(cfg["name"]).coefficients
+        name, _ = _field(source, "name", path, "a preset name", lambda v: v in PRESET_NAMES)
+        return get_preset(name).coefficients
     if kind == "table":
-        return TableProvider([complex(re, im) for re, im in cfg["values"]])
+        return TableProvider(_list(source, "values", path, _pair))
     if kind == "ones":
         return OnesProvider()
     if kind == "periodic":
-        return PeriodicProvider([complex(re, im) for re, im in cfg["pattern"]])
+        return PeriodicProvider(_list(source, "pattern", path, _pair, least=1))
     raise ValueError(f"unknown coefficient source kind {kind!r}")
 
 
 def instance_from_config(cfg: dict) -> LSeriesInstance:
-    """Build an LSeriesInstance from a parsed JSON config dict.
-
-    Required fields: name, lambda[], mu[] (re/im pairs), lambda_prime[],
-    mu_prime[], Q, omega (re/im pair), sigma_a, coefficients.  Optional:
-    poles = [{location: [re, im], order: k, leading: k [re, im] pairs}].
-    """
-    gamma = GammaFactorSpec(
-        numerator=_pairs_from_config(cfg["lambda"], cfg["mu"]),
-        denominator=_pairs_from_config(cfg.get("lambda_prime", []),
-                                       cfg.get("mu_prime", [])),
-    )
-    poles = tuple(
-        PoleData(complex(p["location"][0], p["location"][1]), p["order"],
-                 tuple(complex(re, im) for re, im in p["leading"]))
-        for p in cfg.get("poles", []))
-    fe = FunctionalEquationData(
-        Q=float(cfg["Q"]),
-        omega=complex(cfg["omega"][0], cfg["omega"][1]),
-        gamma=gamma,
-        poles=poles,
-    )
-    return LSeriesInstance(str(cfg["name"]), _coefficients_from_config(cfg["coefficients"]),
-                           fe, sigma_a=float(cfg["sigma_a"]))
+    """An LSeriesInstance from a parsed JSON config: name, lambda[], mu[] ([re, im]
+    pairs), Q, omega ([re, im]), sigma_a, coefficients and optionally lambda_prime[],
+    mu_prime[] and poles = [{location: [re, im], order: k, leading: k [re, im] pairs}].
+    A missing field, or one not of its JSON shape, is a ValueError naming its path."""
+    cfg = {"lambda_prime": [], "mu_prime": [], "poles": [],
+           **_object({"config": cfg}, "config")[0]}
+    pairs = []
+    for lam, mu in (("lambda", "mu"), ("lambda_prime", "mu_prime")):
+        lams, mus = _list(cfg, lam), _list(cfg, mu, item=_pair)
+        if len(lams) != len(mus):
+            raise ValueError(f"{lam}[] and {mu}[] lengths differ")
+        pairs.append(tuple(zip(lams, mus)))
+    poles = tuple(PoleData(_pair(pole, "location", at), _number(pole, "order", at),
+                           _list(pole, "leading", at, _pair))
+                  for pole, at in _list(cfg, "poles", item=_object))
+    fe = FunctionalEquationData(_number(cfg, "Q"), _pair(cfg, "omega"),
+                                GammaFactorSpec(*pairs), poles)
+    return LSeriesInstance(str(_field(cfg, "name", "", "", lambda v: True)[0]),
+                           _coefficients_from_config(cfg), fe, float(_number(cfg, "sigma_a")))
 
 
 def load_instance(path: str) -> LSeriesInstance:

@@ -46,8 +46,8 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetError, PoleError, ResonanceError
-from .evaluate import SmoothedLineEvaluator, near_pole, plan_line
+from .errors import BudgetError, ResonanceError
+from .evaluate import SmoothedLineEvaluator, plan_line
 from .model import (LSeriesInstance, SmoothingParams, require_alpha,
                     require_degree, require_scale)
 from .oscillatory import PhaseFamily, integrate_oscillatory
@@ -80,26 +80,25 @@ def _budget() -> float:
 
 def H_direct(L: LSeriesInstance, alpha: float, T: float,
              sp: SmoothingParams) -> complex:
-    """Direct quadrature route.  A plan whose phase work (LinePlan.phase_work)
-    exceeds the operation budget TWISTLAB_BUDGET (default 1e9; inf lifts it)
-    is refused before any coefficient table is built."""
+    """Direct quadrature route over the span K_T = [2 alpha T, 3 alpha T].
+    The line plan for that span and T refuses a declared pole on it, and a
+    plan whose phase work (LinePlan.phase_work) exceeds the operation budget
+    TWISTLAB_BUDGET (default 1e9; inf lifts it) is refused here, both before
+    any coefficient table is built."""
     d = require_degree(L)
     budget = _budget()
     # the resonance phase d t log(t/(e alpha)) is I_n's phase at n = 1;
     # PhaseFamily refuses a bad alpha and the plan a bad T
     pf = PhaseFamily(alpha, 1, d)
-    plan = plan_line(L, sp, 0.5, T=T)
-    a, b = pf.interval(T)
-    if near_pole(L, 0.5, a, b) is not None:
-        raise PoleError(f"pole of {L.name!r} on the integration segment")
-    cost = plan.phase_work(a, b)
+    span = pf.interval(T)
+    cost = plan_line(L, sp, 0.5, span, T).phase_work()
     if cost > budget:
         raise BudgetError(
             f"H_direct estimated cost {cost:.2e} exceeds budget "
             f"{budget:.2e}; raise TWISTLAB_BUDGET (inf lifts it)")
-    line = SmoothedLineEvaluator(L, sp, 0.5, T=T)
+    line = SmoothedLineEvaluator(L, sp, 0.5, span=span, T=T)
     tol = max(1e-8, 1e-4 * T)
-    res = integrate_oscillatory(lambda t: pf.f(t) - math.pi / 4.0, (a, b), tol,
+    res = integrate_oscillatory(lambda t: pf.f(t) - math.pi / 4.0, span, tol,
                                 dphase=pf.fprime, amplitude=line.values)
     return res.value / math.sqrt(alpha)
 

@@ -529,7 +529,7 @@ class TestCustomConfig:
 
     @pytest.mark.parametrize("pole, error", [
         ({"location": [1.0, 0.0], "order": 1.9, "leading": [[1.0, 0.0]]}, ValueError),
-        ({"location": [1.0, 0.0], "order": 1}, KeyError),
+        ({"location": [1.0, 0.0], "order": 1}, ValueError),
     ], ids=["order-1.9", "no-leading"])
     def test_loader_takes_poles_as_declared(self, pole, error):
         # the order is passed through unconverted, and Laurent data is required
@@ -567,6 +567,58 @@ class TestCustomConfig:
         assert out == ""
         assert err.startswith("usage error: bad config ")
         assert message in err
+
+    @staticmethod
+    def edited_config(field, value):
+        """zeta's config with one field replaced, "-" removing it; a path
+        into the first pole or the coefficients edits that object."""
+        cfg = json.loads(json.dumps(PRESET_CONFIGS["zeta"]))
+        if field == "config":
+            return value
+        owner, _, key = field.rpartition(".")
+        target = {"": cfg, "poles[0]": cfg["poles"][0], "coefficients": cfg["coefficients"]}
+        if value == "-":
+            del target[owner][key]
+        else:
+            target[owner][key] = value
+        return cfg
+
+    # each was a traceback, a bare key, an unnamed message or (strings and
+    # booleans for numbers) a load with exit 0
+    @pytest.mark.parametrize("field, value, message", [
+        ("poles[0].leading", 5, "poles[0].leading: expected a list, got 5"),
+        ("lambda", 0.5, "lambda: expected a list, got 0.5"),
+        ("poles[0].location", [1.0], "poles[0].location: expected an [re, im] pair, "
+                                     "got a list of 1"),
+        ("mu", [[0.0]], "mu[0]: expected an [re, im] pair, got a list of 1"),
+        ("omega", 1.0, "omega: expected an [re, im] pair, got 1.0"),
+        ("config", [1, 2], "config: expected an object, got a list of 2"),
+        ("coefficients", {"kind": "table", "values": [1, 2]},
+         "coefficients.values[0]: expected an [re, im] pair, got 1"),
+        ("Q", [1], "Q: expected a number, got a list of 1"),
+        ("sigma_a", None, "sigma_a: expected a number, got null"),
+        ("poles", {"a": 1}, "poles: expected a list, got an object"),
+        ("mu", [["0", "0"]], 'mu[0][0]: expected a number, got "0"'),
+        ("coefficients", "ones", 'coefficients: expected an object, got "ones"'),
+        ("Q", "0.5", 'Q: expected a number, got "0.5"'),
+        ("Q", True, "Q: expected a number, got true"),
+        ("Q", "-", "config: missing field 'Q'"),
+        ("poles[0].leading", "-", "poles[0]: missing field 'leading'"),
+        ("coefficients", {"kind": "periodic", "pattern": []},
+         "coefficients.pattern: expected a non-empty list, got a list of 0"),
+        ("coefficients", {"kind": "preset", "name": "zeta-cubed"},
+         'coefficients.name: expected a preset name, got "zeta-cubed"'),
+    ], ids=["leading-number", "lambda-number", "location-one", "mu-pair-one",
+            "omega-number", "top-level-list", "table-numbers", "Q-list", "sigma_a-null",
+            "poles-object", "mu-strings", "coefficients-string", "Q-string", "Q-bool",
+            "Q-missing", "leading-missing", "pattern-empty", "preset-unknown"])
+    def test_malformed_config_is_one_line_naming_the_field(self, tmp_path, capsys,
+                                                           field, value, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(self.edited_config(field, value)))
+        code, out, err = run(capsys, "describe", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"usage error: bad config {str(path)!r}: {message}\n"
 
     # zeta's gamma factor and Q without its pole, so that alpha = 2 pi is
     # the resonance of m = 1; the pattern is the character mod 5 with

@@ -292,12 +292,33 @@ class TestSmoothedValue:
         monkeypatch.setattr(type(L.coefficients), "bulk", bulk)
         with pytest.raises(ValueError, match="^line evaluations remove the terms of "
                                              "poles of order 1 and 2 only; "):
-            SmoothedLineEvaluator(L, SmoothingParams(), t=5.0)
+            SmoothedLineEvaluator(L, SmoothingParams(), span=(5.0, 5.0))
+
+    @pytest.mark.parametrize("span, message", [
+        ((1e-9, 1e-9), r"^evaluation point \(1\+1e-09j\) within 1e-06 of pole at \(1\+0j\)$"),
+        ((-5.0, 5.0), r"^pole of 'zeta' on the integration segment$"),
+    ], ids=["point", "segment"])
+    def test_plan_refuses_a_pole_on_its_span(self, span, message, monkeypatch):
+        # the plan owns the pole rule for a point and a segment alike, and
+        # refuses before any table exists
+        L = get_preset("zeta")
+
+        def bulk(self, N):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(type(L.coefficients), "bulk", bulk)
+        with pytest.raises(PoleError, match=message):
+            evaluate.plan_line(L, SmoothingParams(X=1e3), 1.0, span=span)
+        with pytest.raises(PoleError, match=message):
+            SmoothedLineEvaluator(L, SmoothingParams(X=1e3), 1.0, span=span)
+        plan = evaluate.plan_line(L, SmoothingParams(X=1e3), 1.0, span=(2.0, 5.0))
+        assert plan.span == (2.0, 5.0)
 
     def test_one_t_cutoff_overflow_is_refused(self):
         # 10 (|t|/2pi)^d once raised a bare OverflowError
         with pytest.raises(ValueError, match=r"^one-t cutoff .* overflows at t = 1e\+200$"):
-            evaluate.plan_line(get_preset("zeta-sq"), SmoothingParams(), 0.5, t=1e200)
+            evaluate.plan_line(get_preset("zeta-sq"), SmoothingParams(), 0.5,
+                               span=(1e200, 1e200))
 
     def test_gamma_pole_error(self):
         # the zeta pole term at s = 3 needs Gamma(-1)

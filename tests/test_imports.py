@@ -148,7 +148,7 @@ def test_every_private_def_is_referenced():
 #: The rules of a smoothed line evaluation, which plan_line and LinePlan
 #: alone read, and the names of the owners they replaced.
 PLAN_RULES = {"_K_TERMS", "_MIN_T_FOR_FE_CORRECTION", "_FE_SAFE_RADIUS",
-              "_truncation_count"}
+              "_truncation_count", "near_pole"}
 PLAN_OWNERS = {"plan_line", "LinePlan"}
 RETIRED = {"default_cutoff", "phase_estimate"}
 
@@ -187,11 +187,13 @@ def test_checker_finds_plan_rule_leaks():
                  "def other():\n    return _K_TERMS\n\n"
                  "class E:\n    def phase_estimate(self):\n        pass\n"),
         "b.py": ("from .a import _truncation_count\nfrom . import a\n"
-                 "print(a._MIN_T_FOR_FE_CORRECTION)\n"),
+                 "print(a._MIN_T_FOR_FE_CORRECTION)\n"
+                 "def H():\n    return a.near_pole(L, 0.5, 1.0, 2.0)\n"),
     }
     assert sorted(plan_rule_leaks(sources)) == [
         ("a.py", 11, "_K_TERMS"), ("a.py", 14, "phase_estimate"),
-        ("b.py", 1, "_truncation_count"), ("b.py", 3, "_MIN_T_FOR_FE_CORRECTION")]
+        ("b.py", 1, "_truncation_count"), ("b.py", 3, "_MIN_T_FOR_FE_CORRECTION"),
+        ("b.py", 5, "near_pole")]
 
 
 def test_plan_rules_have_one_owner():
